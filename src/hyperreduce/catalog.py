@@ -44,31 +44,68 @@ class ReductionRequest:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One named reduction: ``pFq(lhs(p)) == rhs(...)`` on the entry's domain.
+
+    ``p`` is the flattened parameter dict: every scalar (a list parameter is
+    a tuple of floats), every shift, and ``z`` (``fixed_z`` when it is set).
+
+    - ``rhs`` takes its arguments positionally: the scalars in
+      ``scalar_names`` order, then the shifts in ``shift_names`` order, then
+      ``z`` when ``fixed_z`` is None.  It returns ``(value, magnitude)``.
+    - The domain is checked in one place for every caller (``reduce``,
+      ``lhs_spec`` and ``sample_request``).  Shared rules come first: each
+      name in ``positive`` must be > 0; each list parameter must be pairwise
+      distinct with every element > 0.  Then ``check`` adds only the rules
+      specific to the entry (poles, bounds tied to shifts, the z range), and
+      last, when ``fixed_z == 1``, ``lhs(p)`` must converge at z = 1.
+    - ``ordinal`` is the registration order.  It seeds the entry's sampling
+      stream, so reordering entries changes every verifier report.
+    """
+
     id: str
     ordinal: int
     scalar_names: tuple[str, ...]
     list_names: tuple[str, ...]
     shift_names: tuple[str, ...]
-    fixed_z: float | None
-    z_range: tuple[float, float] | None
-    unity: bool
     description: str
     constraints: str
+    fixed_z: float | None = None
+    positive: tuple[str, ...] = ()
     lhs: Callable[[dict], PFQSpec] = field(repr=False, compare=False, default=None)
-    rhs: Callable[[dict], tuple[float, float]] = field(
+    rhs: Callable[..., tuple[float, float]] = field(
         repr=False, compare=False, default=None
     )
-    validate: Callable[[dict], None] = field(repr=False, compare=False, default=None)
+    check: Callable[[dict], None] | None = field(
+        repr=False, compare=False, default=None
+    )
     draw: Callable[[np.random.Generator], dict] = field(
         repr=False, compare=False, default=None
     )
+
+    @property
+    def unity(self) -> bool:
+        return self.fixed_z == 1.0
 
 
 _ENTRIES: dict[str, CatalogEntry] = {}
 
 
-def _register(entry: CatalogEntry) -> None:
-    _ENTRIES[entry.id] = entry
+def _register(
+    id: str,
+    scalars: tuple[str, ...],
+    shifts: tuple[str, ...],
+    *,
+    lists: tuple[str, ...] = (),
+    **fields,
+) -> None:
+    _ENTRIES[id] = CatalogEntry(
+        id=id,
+        ordinal=len(_ENTRIES),
+        scalar_names=scalars,
+        list_names=lists,
+        shift_names=shifts,
+        **fields,
+    )
 
 
 def catalog_ids() -> list[str]:
@@ -82,40 +119,41 @@ def get_entry(entry_id: str) -> CatalogEntry:
         raise KeyError(f"unknown reduction id {entry_id!r}") from None
 
 
+def _signature_mismatch(entry: CatalogEntry, req: ReductionRequest) -> str:
+    parts = []
+    for kind, got, want in (
+        ("scalars", set(req.scalars), set(entry.scalar_names)),
+        ("shifts", set(req.shifts), set(entry.shift_names)),
+    ):
+        if want - got:
+            parts.append(f"missing {kind} {sorted(want - got)}")
+        if got - want:
+            parts.append(f"unexpected {kind} {sorted(got - want)}")
+    return f"{entry.id}: " + "; ".join(parts)
+
+
 def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
-    """Validate the request signature against the entry and flatten params."""
-    got_scalars = set(req.scalars)
-    want_scalars = set(entry.scalar_names)
-    if got_scalars != want_scalars:
-        missing = want_scalars - got_scalars
-        extra = got_scalars - want_scalars
-        parts = []
-        if missing:
-            parts.append(f"missing scalars {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected scalars {sorted(extra)}")
-        raise ValueError(f"{entry.id}: " + "; ".join(parts))
-    got_shifts = set(req.shifts)
-    want_shifts = set(entry.shift_names)
-    if got_shifts != want_shifts:
-        missing = want_shifts - got_shifts
-        extra = got_shifts - want_shifts
-        parts = []
-        if missing:
-            parts.append(f"missing shifts {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected shifts {sorted(extra)}")
-        raise ValueError(f"{entry.id}: " + "; ".join(parts))
+    """Check the request against the entry's signature and domain, and
+    flatten it into the params dict in rhs argument order: scalars, shifts,
+    then z."""
+    if set(req.scalars) != set(entry.scalar_names) or (
+        set(req.shifts) != set(entry.shift_names)
+    ):
+        raise ValueError(_signature_mismatch(entry, req))
     params: dict = {}
     for name in entry.scalar_names:
         value = req.scalars[name]
         if name in entry.list_names:
-            vs = tuple(float(v) for v in value)
-            if not vs:
+            value = tuple(map(float, value))
+            if not value:
                 raise ValueError(f"{entry.id}: parameter list {name!r} is empty")
-            params[name] = vs
+            finite = all(map(math.isfinite, value))
         else:
-            params[name] = float(value)
+            value = float(value)
+            finite = math.isfinite(value)
+        if not finite:
+            raise DomainError(f"{entry.id}: {name} must be finite, got {value}")
+        params[name] = value
     for name in entry.shift_names:
         shift = req.shifts[name]
         if int(shift) != shift or int(shift) < 0:
@@ -130,25 +168,45 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
     else:
         if req.z is None:
             raise ValueError(f"{entry.id}: z is required")
-        params["z"] = float(req.z)
+        z = float(req.z)
+        if not math.isfinite(z):
+            raise DomainError(f"{entry.id}: z must be finite, got {z}")
+        params["z"] = z
+    _validate(entry, params)
     return params
+
+
+def _validate(entry: CatalogEntry, p: dict) -> None:
+    """Raise DomainError unless p lies in the entry's domain (see CatalogEntry)."""
+    for name in entry.positive:
+        if not p[name] > 0.0:
+            raise DomainError(f"requires {name} > 0")
+    for name in entry.list_names:
+        rd.require_distinct(p[name])
+        for value in p[name]:
+            if not value > 0.0:
+                raise DomainError(f"requires every {name} > 0")
+    if entry.check is not None:
+        entry.check(p)
+    if entry.unity and unity_margin(entry.lhs(p)) <= 0.0:
+        raise DomainError("series does not converge at z = 1")
 
 
 def reduce(req: ReductionRequest) -> EvalResult:
     """Evaluate the closed-form right-hand side of a catalog formula."""
     entry = get_entry(req.id)
     params = _unpack(entry, req)
-    entry.validate(params)
-    value, magnitude = entry.rhs(params)
+    args = list(params.values())
+    if entry.fixed_z is not None:
+        del args[-1]  # a fixed z is part of the formula, not an rhs argument
+    value, magnitude = entry.rhs(*args)
     return EvalResult(value, _EPS * magnitude, 0, Status.CONVERGED)
 
 
 def lhs_spec(req: ReductionRequest) -> PFQSpec:
     """The hypergeometric spec the formula's right-hand side claims to equal."""
     entry = get_entry(req.id)
-    params = _unpack(entry, req)
-    entry.validate(params)
-    return entry.lhs(params)
+    return entry.lhs(_unpack(entry, req))
 
 
 def sample_request(entry_id: str, rng: np.random.Generator) -> ReductionRequest:
@@ -157,8 +215,10 @@ def sample_request(entry_id: str, rng: np.random.Generator) -> ReductionRequest:
     entry = get_entry(entry_id)
     for _ in range(_MAX_DRAWS):
         params = entry.draw(rng)
+        if entry.fixed_z is not None:
+            params["z"] = entry.fixed_z
         try:
-            entry.validate(params)
+            _validate(entry, params)
         except DomainError:
             continue
         scalars = {
@@ -195,6 +255,11 @@ def _distinct_list(
     raise UnsatisfiableDomainError("could not draw a pairwise-distinct list")
 
 
+# ---------------------------------------------------------------------------
+# entry-specific domain rules
+# ---------------------------------------------------------------------------
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DomainError(message)
@@ -205,8 +270,12 @@ def _require_off_poles(values: Sequence[float], what: str) -> None:
         raise DomainError(f"{what} too close to a non-positive integer")
 
 
-def _check_unity_margin(spec: PFQSpec) -> None:
-    _require(unity_margin(spec) > 0.0, "series does not converge at z = 1")
+def _z_in_unit_interval(p: dict) -> None:
+    _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1")
+
+
+def _z_in_unit_disk(p: dict) -> None:
+    _require(abs(p["z"]) < 1.0, "requires |z| < 1")
 
 
 # ---------------------------------------------------------------------------
@@ -214,55 +283,15 @@ def _check_unity_margin(spec: PFQSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _simple(
-    id: str,
-    ordinal: int,
-    scalars: tuple[str, ...],
-    shifts: tuple[str, ...],
-    lhs,
-    rhs,
-    validate,
-    draw,
-    description: str,
-    constraints: str,
-    fixed_z: float | None = None,
-    z_range: tuple[float, float] | None = None,
-    unity: bool = False,
-    lists: tuple[str, ...] = (),
-) -> None:
-    _register(
-        CatalogEntry(
-            id=id,
-            ordinal=ordinal,
-            scalar_names=scalars,
-            list_names=lists,
-            shift_names=shifts,
-            fixed_z=fixed_z,
-            z_range=z_range,
-            unity=unity,
-            description=description,
-            constraints=constraints,
-            lhs=lhs,
-            rhs=rhs,
-            validate=validate,
-            draw=draw,
-        )
-    )
-
-
 # -- z = 1/2 and z = -1 family ----------------------------------------------
 
-_simple(
+_register(
     "F32HalfBateman",
-    0,
     ("a", "c"),
     ("n",),
-    lhs=lambda p: PFQSpec([p["a"], p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], 0.5),
-    rhs=lambda p: rd.f32_half_bateman_rhs(p["a"], p["c"], p["n"]),
-    validate=lambda p: (
-        _require(p["a"] > 0.0, "requires a > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-    ),
+    lhs=lambda p: PFQSpec([p["a"], p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], p["z"]),
+    rhs=rd.f32_half_bateman_rhs,
+    positive=("a", "c"),
     draw=lambda rng: {"a": _u(rng, 0.3, 3.0), "c": _u(rng, 0.5, 4.0), "n": _n(rng, 0, 6)},
     description=(
         "3F2(a,a,c+n; a+1,c; 1/2) as a*2^a times a binomial sum of Bateman "
@@ -272,14 +301,13 @@ _simple(
     fixed_z=0.5,
 )
 
-_simple(
+_register(
     "F21HalfBateman",
-    1,
     ("a",),
     ("n",),
-    lhs=lambda p: PFQSpec([p["a"], p["a"] + p["n"]], [p["a"] + 1.0], 0.5),
-    rhs=lambda p: rd.f21_half_bateman_rhs(p["a"], p["n"]),
-    validate=lambda p: _require(p["a"] > 0.0, "requires a > 0"),
+    lhs=lambda p: PFQSpec([p["a"], p["a"] + p["n"]], [p["a"] + 1.0], p["z"]),
+    rhs=rd.f21_half_bateman_rhs,
+    positive=("a",),
     draw=lambda rng: {"a": _u(rng, 0.3, 3.0), "n": _n(rng, 0, 6)},
     description=(
         "2F1(a,a+n; a+1; 1/2) as a*2^a times a binomial sum of Bateman "
@@ -289,14 +317,13 @@ _simple(
     fixed_z=0.5,
 )
 
-_simple(
+_register(
     "F21NegUnit",
-    2,
     ("a",),
     ("n",),
-    lhs=lambda p: PFQSpec([-float(p["n"]), p["a"]], [p["a"] + 1.0], -1.0),
-    rhs=lambda p: rd.f21_neg_unit_bateman_rhs(p["a"], p["n"]),
-    validate=lambda p: _require(p["a"] > 0.0, "requires a > 0"),
+    lhs=lambda p: PFQSpec([-float(p["n"]), p["a"]], [p["a"] + 1.0], p["z"]),
+    rhs=rd.f21_neg_unit_bateman_rhs,
+    positive=("a",),
     draw=lambda rng: {"a": _u(rng, 0.3, 4.0), "n": _n(rng, 0, 6)},
     description=(
         "terminating 2F1(-n,a; a+1; -1) as a binomial sum of Bateman "
@@ -307,22 +334,17 @@ _simple(
     fixed_z=-1.0,
 )
 
-_simple(
+_register(
     "F32HalfPlusM",
-    3,
     ("a", "b", "c"),
     ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"] + p["m"], p["c"] + p["n"]],
         [(p["a"] + p["b"] + 1.0) / 2.0, p["c"]],
-        0.5,
+        p["z"],
     ),
-    rhs=lambda p: rd.f32_half_plus_rhs(p["a"], p["b"], p["c"], p["n"], p["m"]),
-    validate=lambda p: (
-        _require(p["a"] > 0.0, "requires a > 0"),
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-    ),
+    rhs=rd.f32_half_plus_rhs,
+    positive=("a", "b", "c"),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 2.5),
         "b": _u(rng, 0.3, 2.5),
@@ -339,9 +361,7 @@ _simple(
 )
 
 
-def _f32_half_minus_validate(p: dict) -> None:
-    _require(p["a"] > 0.0, "requires a > 0")
-    _require(p["c"] > 0.0, "requires c > 0")
+def _f32_half_minus_check(p: dict) -> None:
     m = p["m"]
     _require_off_poles(
         [(p["b"] - p["a"] + 1.0) / 2.0 - m, (p["b"] - p["a"] + 1.0) / 2.0],
@@ -359,18 +379,18 @@ def _f32_half_minus_draw(rng: np.random.Generator) -> dict:
     return {"a": a, "b": b, "c": _u(rng, 0.5, 4.0), "n": _n(rng, 0, 3), "m": m}
 
 
-_simple(
+_register(
     "F32HalfMinusM",
-    4,
     ("a", "b", "c"),
     ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"] - p["m"], p["c"] + p["n"]],
         [(p["a"] + p["b"] + 1.0) / 2.0, p["c"]],
-        0.5,
+        p["z"],
     ),
-    rhs=lambda p: rd.f32_half_minus_signed_rhs(p["a"], p["b"], p["c"], p["n"], p["m"]),
-    validate=_f32_half_minus_validate,
+    rhs=rd.f32_half_minus_signed_rhs,
+    positive=("a", "c"),
+    check=_f32_half_minus_check,
     draw=_f32_half_minus_draw,
     description=(
         "3F2(a,b-m,c+n; (a+b+1)/2,c; 1/2) as a double binomial sum of "
@@ -384,34 +404,30 @@ _simple(
 
 # -- z = 1 psi/beta family ---------------------------------------------------
 
-_simple(
+
+def _f32_unity_jl_check(p: dict) -> None:
+    _require(1.0 - p["a"] > 0.0, "requires a < 1")
+    _require_off_poles([1.0 + p["b"] - p["a"]], "psi argument")
+
+
+_register(
     "F32UnityJL",
-    5,
     ("a", "b"),
     (),
-    lhs=lambda p: PFQSpec([p["a"], p["b"], p["b"]], [p["b"] + 1.0, p["b"] + 1.0], 1.0),
-    rhs=lambda p: rd.f32_unity_jl_rhs(p["a"], p["b"]),
-    validate=lambda p: (
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(1.0 - p["a"] > 0.0, "requires a < 1"),
-        _require_off_poles([1.0 + p["b"] - p["a"]], "psi argument"),
-        _check_unity_margin(
-            PFQSpec([p["a"], p["b"], p["b"]], [p["b"] + 1.0, p["b"] + 1.0], 1.0)
-        ),
-    ),
+    lhs=lambda p: PFQSpec([p["a"], p["b"], p["b"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]),
+    rhs=rd.f32_unity_jl_rhs,
+    positive=("b",),
+    check=_f32_unity_jl_check,
     draw=lambda rng: {"a": _u(rng, -3.0, 0.4), "b": _u(rng, 0.3, 3.0)},
     description=(
         "3F2(a,b,b; b+1,b+1; 1) as b^2 B(1-a,b) [psi(1+b-a) - psi(b)]"
     ),
     constraints="b > 0, a < 1, convergent at z = 1 (a < 2)",
     fixed_z=1.0,
-    unity=True,
 )
 
 
-def _f43_unity_validate(p: dict) -> None:
-    _require(p["b"] > 0.0, "requires b > 0")
-    _require(p["c"] > 0.0, "requires c > 0")
+def _f43_unity_check(p: dict) -> None:
     _require(1.0 - p["a"] > 0.0, "requires a < 1")
     if abs(p["b"] - p["c"]) < rd.DISTINCT_TOL:
         raise DegenerateParametersError("requires b != c")
@@ -421,26 +437,21 @@ def _f43_unity_validate(p: dict) -> None:
         "psi argument",
     )
     _require_off_poles([p["c"] - p["b"] + j for j in range(n)], "(c-b)_n factor")
-    _check_unity_margin(_f43_unity_lhs(p))
     _require(abs(p["b"] - p["c"]) >= POLE_DIST, "b too close to c")
 
 
-def _f43_unity_lhs(p: dict) -> PFQSpec:
-    return PFQSpec(
-        [p["a"], p["b"], p["b"], p["c"] + p["n"]],
-        [p["b"] + 1.0, p["b"] + 1.0, p["c"]],
-        1.0,
-    )
-
-
-_simple(
+_register(
     "F43Unity",
-    6,
     ("a", "b", "c"),
     ("n",),
-    lhs=_f43_unity_lhs,
-    rhs=lambda p: rd.f43_unity_rhs(p["a"], p["b"], p["c"], p["n"]),
-    validate=_f43_unity_validate,
+    lhs=lambda p: PFQSpec(
+        [p["a"], p["b"], p["b"], p["c"] + p["n"]],
+        [p["b"] + 1.0, p["b"] + 1.0, p["c"]],
+        p["z"],
+    ),
+    rhs=rd.f43_unity_rhs,
+    positive=("b", "c"),
+    check=_f43_unity_check,
     draw=lambda rng: (
         lambda n: {
             "a": _u(rng, -3.0, 0.4) - n,
@@ -455,26 +466,23 @@ _simple(
     ),
     constraints="b, c > 0; a < 1; b != c; psi arguments off poles; convergent at z = 1",
     fixed_z=1.0,
-    unity=True,
 )
 
-_simple(
+def _f32_unity_bb_check(p: dict) -> None:
+    _require(p["n"] >= 1, "requires n >= 1")
+    _require(1.0 - p["a"] > 0.0, "requires a < 1")
+
+
+_register(
     "F32UnityBB",
-    7,
     ("a", "b"),
     ("n",),
     lhs=lambda p: PFQSpec(
-        [p["a"], p["b"], p["b"] + p["n"]], [p["b"] + 1.0, p["b"] + 1.0], 1.0
+        [p["a"], p["b"], p["b"] + p["n"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]
     ),
-    rhs=lambda p: rd.f32_unity_bb_rhs(p["a"], p["b"], p["n"]),
-    validate=lambda p: (
-        _require(p["n"] >= 1, "requires n >= 1"),
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(1.0 - p["a"] > 0.0, "requires a < 1"),
-        _check_unity_margin(
-            PFQSpec([p["a"], p["b"], p["b"] + p["n"]], [p["b"] + 1.0, p["b"] + 1.0], 1.0)
-        ),
-    ),
+    rhs=rd.f32_unity_bb_rhs,
+    positive=("b",),
+    check=_f32_unity_bb_check,
     draw=lambda rng: (
         lambda n: {"a": _u(rng, -3.0, 0.45) - n, "b": _u(rng, 0.3, 3.0), "n": n}
     )(_n(rng, 1, 4)),
@@ -483,35 +491,26 @@ _simple(
     ),
     constraints="n >= 1; b > 0; a < 1; convergent at z = 1 (a < 2 - n)",
     fixed_z=1.0,
-    unity=True,
 )
 
 
-def _f43_unity_nm_lhs(p: dict) -> PFQSpec:
-    return PFQSpec(
-        [p["a"], p["b"], p["b"] + p["n"], p["c"] + p["m"]],
-        [p["b"] + 1.0, p["b"] + 1.0, p["c"]],
-        1.0,
-    )
-
-
-def _f43_unity_nm_validate(p: dict) -> None:
-    _require(p["n"] >= 1, "requires n >= 1")
-    _require(p["b"] > 0.0, "requires b > 0")
-    _require(p["c"] > 0.0, "requires c > 0")
-    _require(1.0 - p["a"] > 0.0, "requires a < 1")
+def _f43_unity_nm_check(p: dict) -> None:
+    _f32_unity_bb_check(p)
     _require_off_poles([p["c"] - p["b"] + j for j in range(p["m"])], "(c-b)_m factor")
-    _check_unity_margin(_f43_unity_nm_lhs(p))
 
 
-_simple(
+_register(
     "F43UnityNM",
-    8,
     ("a", "b", "c"),
     ("n", "m"),
-    lhs=_f43_unity_nm_lhs,
-    rhs=lambda p: rd.f43_unity_nm_rhs(p["a"], p["b"], p["c"], p["n"], p["m"]),
-    validate=_f43_unity_nm_validate,
+    lhs=lambda p: PFQSpec(
+        [p["a"], p["b"], p["b"] + p["n"], p["c"] + p["m"]],
+        [p["b"] + 1.0, p["b"] + 1.0, p["c"]],
+        p["z"],
+    ),
+    rhs=rd.f43_unity_nm_rhs,
+    positive=("b", "c"),
+    check=_f43_unity_nm_check,
     draw=lambda rng: (
         lambda n, m: {
             "a": _u(rng, -3.0, 0.4) - n - m,
@@ -527,43 +526,32 @@ _simple(
     ),
     constraints="n >= 1; b, c > 0; a < 1; (c-b)_m off zero; convergent at z = 1",
     fixed_z=1.0,
-    unity=True,
 )
 
 # -- Bessel family -----------------------------------------------------------
 
-_simple(
+_register(
     "F01Bessel",
-    9,
     ("b",),
     (),
     lhs=lambda p: PFQSpec([], [p["b"]], p["z"]),
-    rhs=lambda p: rd.f01_bessel_rhs(p["b"], p["z"]),
-    validate=lambda p: (
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f01_bessel_rhs,
+    positive=("b", "z"),
     draw=lambda rng: {"b": _u(rng, 0.3, 5.0), "z": _u(rng, 0.05, 20.0)},
     description=(
         "0F1(;b;z) in terms of the modified Bessel function of the first kind, "
         "z^((1-b)/2) Gamma(b) I_{b-1}(2 sqrt(z))"
     ),
     constraints="b > 0, z > 0",
-    z_range=(0.05, 20.0),
 )
 
-_simple(
+_register(
     "F12BesselI",
-    10,
     ("b", "c"),
     ("n",),
     lhs=lambda p: PFQSpec([p["c"] + p["n"]], [p["b"], p["c"]], p["z"]),
-    rhs=lambda p: rd.f12_bessel_i_rhs(p["b"], p["c"], p["n"], p["z"]),
-    validate=lambda p: (
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f12_bessel_i_rhs,
+    positive=("b", "c", "z"),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -575,24 +563,17 @@ _simple(
         "function of the first kind"
     ),
     constraints="b, c > 0, z > 0",
-    z_range=(0.05, 20.0),
 )
 
-_simple(
+_register(
     "F23BesselI",
-    11,
     ("b", "c", "d"),
     ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["c"] + p["n"], p["d"] + p["m"]], [p["b"], p["c"], p["d"]], p["z"]
     ),
-    rhs=lambda p: rd.f23_bessel_i_rhs(p["b"], p["c"], p["d"], p["n"], p["m"], p["z"]),
-    validate=lambda p: (
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["d"] > 0.0, "requires d > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f23_bessel_i_rhs,
+    positive=("b", "c", "d", "z"),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -606,21 +587,15 @@ _simple(
         "Bessel function of the first kind"
     ),
     constraints="b, c, d > 0, z > 0",
-    z_range=(0.05, 20.0),
 )
 
-_simple(
+_register(
     "F12BesselJ",
-    12,
     ("b", "c"),
     ("n",),
     lhs=lambda p: PFQSpec([p["c"] + p["n"]], [p["b"], p["c"]], -p["z"]),
-    rhs=lambda p: rd.f12_bessel_j_rhs(p["b"], p["c"], p["n"], p["z"]),
-    validate=lambda p: (
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f12_bessel_j_rhs,
+    positive=("b", "c", "z"),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -632,24 +607,17 @@ _simple(
         "Bessel function of the first kind"
     ),
     constraints="b, c > 0, z > 0 (series argument is -z)",
-    z_range=(0.05, 20.0),
 )
 
-_simple(
+_register(
     "F23BesselJ",
-    13,
     ("b", "c", "d"),
     ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["c"] + p["n"], p["d"] + p["m"]], [p["b"], p["c"], p["d"]], -p["z"]
     ),
-    rhs=lambda p: rd.f23_bessel_j_rhs(p["b"], p["c"], p["d"], p["n"], p["m"], p["z"]),
-    validate=lambda p: (
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["d"] > 0.0, "requires d > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f23_bessel_j_rhs,
+    positive=("b", "c", "d", "z"),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -663,43 +631,32 @@ _simple(
         "over the Bessel function of the first kind"
     ),
     constraints="b, c, d > 0, z > 0 (series argument is -z)",
-    z_range=(0.05, 20.0),
 )
 
 # -- incomplete gamma / Laguerre family -------------------------------------
 
-_simple(
+_register(
     "F11IncGamma",
-    14,
     ("a",),
     (),
     lhs=lambda p: PFQSpec([p["a"]], [p["a"] + 1.0], -p["z"]),
-    rhs=lambda p: rd.f11_inc_gamma_rhs(p["a"], p["z"]),
-    validate=lambda p: (
-        _require(p["a"] > 0.0, "requires a > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f11_inc_gamma_rhs,
+    positive=("a", "z"),
     draw=lambda rng: {"a": _u(rng, 0.3, 4.0), "z": _u(rng, 0.1, 8.0)},
     description=(
         "1F1(a; a+1; -z), z > 0, as a z^(-a) times the lower incomplete gamma "
         "function at (a, z)"
     ),
     constraints="a > 0, z > 0 (series argument is -z)",
-    z_range=(0.1, 8.0),
 )
 
-_simple(
+_register(
     "F22IncGamma",
-    15,
     ("a", "c"),
     ("n",),
     lhs=lambda p: PFQSpec([p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], -p["z"]),
-    rhs=lambda p: rd.f22_inc_gamma_rhs(p["a"], p["c"], p["n"], p["z"]),
-    validate=lambda p: (
-        _require(p["a"] > 0.0, "requires a > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["z"] > 0.0, "requires z > 0"),
-    ),
+    rhs=rd.f22_inc_gamma_rhs,
+    positive=("a", "c", "z"),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 4.0),
         "c": _u(rng, 0.5, 4.0),
@@ -711,37 +668,30 @@ _simple(
         "lower incomplete gamma values"
     ),
     constraints="a, c > 0, z > 0 (series argument is -z)",
-    z_range=(0.1, 8.0),
 )
 
-_simple(
+_register(
     "F11Laguerre",
-    16,
     ("a",),
     ("n",),
     lhs=lambda p: PFQSpec([p["a"] + p["n"]], [p["a"]], p["z"]),
-    rhs=lambda p: rd.f11_laguerre_rhs(p["a"], p["n"], p["z"]),
-    validate=lambda p: _require(p["a"] > 0.0, "requires a > 0"),
+    rhs=rd.f11_laguerre_rhs,
+    positive=("a",),
     draw=lambda rng: {"a": _u(rng, 0.3, 4.0), "n": _n(rng, 0, 6), "z": _u(rng, -3.0, 3.0)},
     description=(
         "1F1(a+n; a; z) as n!/(a)_n e^z times the generalized Laguerre "
         "polynomial L_n^(a-1)(-z)"
     ),
     constraints="a > 0",
-    z_range=(-3.0, 3.0),
 )
 
-_simple(
+_register(
     "F22Laguerre",
-    17,
     ("a", "b"),
     ("n", "m"),
     lhs=lambda p: PFQSpec([p["a"] + p["n"], p["b"] + p["m"]], [p["a"], p["b"]], p["z"]),
-    rhs=lambda p: rd.f22_laguerre_rhs(p["a"], p["b"], p["n"], p["m"], p["z"]),
-    validate=lambda p: (
-        _require(p["a"] > 0.0, "requires a > 0"),
-        _require(p["b"] > 0.0, "requires b > 0"),
-    ),
+    rhs=rd.f22_laguerre_rhs,
+    positive=("a", "b"),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 4.0),
         "b": _u(rng, 0.3, 4.0),
@@ -754,12 +704,10 @@ _simple(
         "polynomial values times e^z"
     ),
     constraints="a, b > 0",
-    z_range=(-3.0, 3.0),
 )
 
-_simple(
+_register(
     "F33Laguerre",
-    18,
     ("a", "b", "c"),
     ("n", "m", "k"),
     lhs=lambda p: PFQSpec(
@@ -767,14 +715,8 @@ _simple(
         [p["a"], p["b"], p["c"]],
         p["z"],
     ),
-    rhs=lambda p: rd.f33_laguerre_rhs(
-        p["a"], p["b"], p["c"], p["n"], p["m"], p["k"], p["z"]
-    ),
-    validate=lambda p: (
-        _require(p["a"] > 0.0, "requires a > 0"),
-        _require(p["b"] > 0.0, "requires b > 0"),
-        _require(p["c"] > 0.0, "requires c > 0"),
-    ),
+    rhs=rd.f33_laguerre_rhs,
+    positive=("a", "b", "c"),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 4.0),
         "b": _u(rng, 0.3, 4.0),
@@ -789,32 +731,20 @@ _simple(
         "Laguerre polynomial values times e^z"
     ),
     constraints="a, b, c > 0",
-    z_range=(-3.0, 3.0),
 )
 
 # -- arbitrary-p incomplete-beta family -------------------------------------
 
 
-def _a_list_validate(p: dict, shift_floor: float = 0.0) -> None:
-    a_list = p["a"]
-    rd.require_distinct(a_list)
-    for al in a_list:
-        _require(al > shift_floor, f"requires every a > {shift_floor}")
-
-
-_simple(
+_register(
     "Mp1FmIncBeta",
-    19,
     ("a", "b"),
     (),
     lhs=lambda p: PFQSpec(
         list(p["a"]) + [p["b"]], [al + 1.0 for al in p["a"]], p["z"]
     ),
-    rhs=lambda p: rd.m1m_inc_beta_rhs(p["a"], p["b"], p["z"]),
-    validate=lambda p: (
-        _a_list_validate(p),
-        _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1"),
-    ),
+    rhs=rd.m1m_inc_beta_rhs,
+    check=_z_in_unit_interval,
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 4), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -825,26 +755,25 @@ _simple(
         "incomplete beta values, pairwise-distinct a's"
     ),
     constraints="a's > 0 and pairwise distinct; 0 < z < 1",
-    z_range=(0.1, 0.9),
     lists=("a",),
 )
 
-_simple(
-    "Pp2Fp1IncBeta",
-    20,
-    ("a", "b", "c"),
-    ("n",),
-    lhs=lambda p: PFQSpec(
+def _pp2_lhs(p: dict) -> PFQSpec:
+    return PFQSpec(
         list(p["a"]) + [p["b"], p["c"] + p["n"]],
         [al + 1.0 for al in p["a"]] + [p["c"]],
         p["z"],
-    ),
-    rhs=lambda p: rd.pp2_inc_beta_rhs(p["a"], p["b"], p["c"], p["n"], p["z"]),
-    validate=lambda p: (
-        _a_list_validate(p),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1"),
-    ),
+    )
+
+
+_register(
+    "Pp2Fp1IncBeta",
+    ("a", "b", "c"),
+    ("n",),
+    lhs=_pp2_lhs,
+    rhs=rd.pp2_inc_beta_rhs,
+    positive=("c",),
+    check=_z_in_unit_interval,
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 3), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -857,33 +786,26 @@ _simple(
         "incomplete-beta partial fractions"
     ),
     constraints="a's > 0 pairwise distinct; c > 0; 0 < z < 1",
-    z_range=(0.1, 0.9),
     lists=("a",),
 )
 
 
-def _pp2_literature_validate(p: dict) -> None:
+def _pp2_literature_check(p: dict) -> None:
     n = p["n"]
-    _a_list_validate(p, shift_floor=0.0)
     for al in p["a"]:
         # inner Gauss series carries lower parameters a - k for k < n
         _require(al - (n - 1) > POLE_DIST, "requires every a > n - 1")
-    _require(p["c"] > 0.0, "requires c > 0")
-    _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1")
+    _z_in_unit_interval(p)
 
 
-_simple(
+_register(
     "Pp2Fp1Literature",
-    21,
     ("a", "b", "c"),
     ("n",),
-    lhs=lambda p: PFQSpec(
-        list(p["a"]) + [p["b"], p["c"] + p["n"]],
-        [al + 1.0 for al in p["a"]] + [p["c"]],
-        p["z"],
-    ),
-    rhs=lambda p: rd.pp2_literature_rhs(p["a"], p["b"], p["c"], p["n"], p["z"]),
-    validate=_pp2_literature_validate,
+    lhs=_pp2_lhs,
+    rhs=rd.pp2_literature_rhs,
+    positive=("c",),
+    check=_pp2_literature_check,
     draw=lambda rng: (
         lambda n: {
             "a": _distinct_list(
@@ -900,22 +822,17 @@ _simple(
         "derivative of z^g B_z(a,b) as found in earlier literature"
     ),
     constraints="a's > max(0, n-1) pairwise distinct; c > 0; 0 < z < 1",
-    z_range=(0.15, 0.85),
     lists=("a",),
 )
 
-_simple(
+_register(
     "F21Contiguous",
-    22,
     ("b", "c"),
     ("n",),
     lhs=lambda p: PFQSpec([p["b"], p["c"] + p["n"]], [p["c"]], p["z"]),
-    rhs=lambda p: rd.f21_contiguous_rhs(p["b"], p["c"], p["n"], p["z"]),
-    validate=lambda p: (
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["z"] < 1.0, "requires z < 1"),
-        _require(abs(p["z"]) < 1.0, "requires |z| < 1"),
-    ),
+    rhs=rd.f21_contiguous_rhs,
+    positive=("c",),
+    check=_z_in_unit_disk,
     draw=lambda rng: {
         "b": _u(rng, 0.3, 3.0),
         "c": _u(rng, 0.5, 4.0),
@@ -927,35 +844,23 @@ _simple(
         "z/(1-z)"
     ),
     constraints="c > 0, |z| < 1",
-    z_range=(-0.8, 0.9),
 )
 
 
-def _pp2_unity_lhs(p: dict) -> PFQSpec:
-    return PFQSpec(
-        list(p["a"]) + [p["b"], p["c"] + p["n"]],
-        [al + 1.0 for al in p["a"]] + [p["c"]],
-        1.0,
-    )
-
-
-def _pp2_unity_validate(p: dict) -> None:
-    _a_list_validate(p)
-    _require(p["c"] > 0.0, "requires c > 0")
+def _pp2_unity_check(p: dict) -> None:
     _require(1.0 - p["b"] > 0.0, "requires b < 1")
     for al in p["a"]:
         _require_off_poles([p["c"] - al + j for j in range(p["n"])], "(c-a)_n factor")
-    _check_unity_margin(_pp2_unity_lhs(p))
 
 
-_simple(
+_register(
     "Pp2Fp1Unity",
-    23,
     ("a", "b", "c"),
     ("n",),
-    lhs=_pp2_unity_lhs,
-    rhs=lambda p: rd.pp2_unity_rhs(p["a"], p["b"], p["c"], p["n"]),
-    validate=_pp2_unity_validate,
+    lhs=_pp2_lhs,
+    rhs=rd.pp2_unity_rhs,
+    positive=("c",),
+    check=_pp2_unity_check,
     draw=lambda rng: (
         lambda p_count, n: {
             "a": _distinct_list(rng, p_count, 0.3, 4.0),
@@ -970,7 +875,6 @@ _simple(
     ),
     constraints="a's > 0 pairwise distinct; c > 0; b < 1; convergent at z = 1",
     fixed_z=1.0,
-    unity=True,
     lists=("a",),
 )
 
@@ -979,28 +883,25 @@ def _pp3_lhs(p: dict) -> PFQSpec:
     return PFQSpec(
         list(p["a"]) + [p["b"], p["c"] + p["n"], p["d"] + p["m"]],
         [al + 1.0 for al in p["a"]] + [p["c"], p["d"]],
-        p["z"] if "z" in p else 1.0,
+        p["z"],
     )
 
 
-def _pp3_h_validate(p: dict) -> None:
-    _a_list_validate(p)
+def _pp3_h_check(p: dict) -> None:
     m = p["m"]
     for al in p["a"]:
         _require(al - (m - 1) > POLE_DIST, "requires every a > m - 1")
-    _require(p["c"] > 0.0, "requires c > 0")
-    _require(p["d"] > 0.0, "requires d > 0")
-    _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1")
+    _z_in_unit_interval(p)
 
 
-_simple(
+_register(
     "Pp3Fp2H",
-    24,
     ("a", "b", "c", "d"),
     ("n", "m"),
     lhs=_pp3_lhs,
-    rhs=lambda p: rd.pp3_h_rhs(p["a"], p["b"], p["c"], p["d"], p["n"], p["m"], p["z"]),
-    validate=_pp3_h_validate,
+    rhs=rd.pp3_h_rhs,
+    positive=("c", "d"),
+    check=_pp3_h_check,
     draw=lambda rng: (
         lambda m: {
             "a": _distinct_list(
@@ -1019,25 +920,17 @@ _simple(
         "m-th derivative of z^g B_z(a,b)"
     ),
     constraints="a's > max(0, m-1) pairwise distinct; c, d > 0; 0 < z < 1",
-    z_range=(0.15, 0.85),
     lists=("a",),
 )
 
-_simple(
+_register(
     "Pp3Fp2IncBeta",
-    25,
     ("a", "b", "c", "d"),
     ("n", "m"),
     lhs=_pp3_lhs,
-    rhs=lambda p: rd.pp3_inc_beta_rhs(
-        p["a"], p["b"], p["c"], p["d"], p["n"], p["m"], p["z"]
-    ),
-    validate=lambda p: (
-        _a_list_validate(p),
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["d"] > 0.0, "requires d > 0"),
-        _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1"),
-    ),
+    rhs=rd.pp3_inc_beta_rhs,
+    positive=("c", "d"),
+    check=_z_in_unit_interval,
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 3), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -1052,32 +945,27 @@ _simple(
         "binomial sum of incomplete-beta partial fractions"
     ),
     constraints="a's > 0 pairwise distinct; c, d > 0; 0 < z < 1",
-    z_range=(0.1, 0.9),
     lists=("a",),
 )
 
 
-def _pp3_unity_validate(p: dict) -> None:
-    _a_list_validate(p)
-    _require(p["c"] > 0.0, "requires c > 0")
-    _require(p["d"] > 0.0, "requires d > 0")
+def _pp3_unity_check(p: dict) -> None:
     _require(
         p["b"] < 1.0 - max(p["n"], p["m"]), "requires b < 1 - max(n, m)"
     )
     for al in p["a"]:
         _require_off_poles([p["c"] - al + j for j in range(p["n"])], "(c-a)_n factor")
         _require_off_poles([p["d"] - al + j for j in range(p["m"])], "(d-a)_m factor")
-    _check_unity_margin(_pp3_lhs(p))
 
 
-_simple(
+_register(
     "Pp3Fp2Unity",
-    26,
     ("a", "b", "c", "d"),
     ("n", "m"),
     lhs=_pp3_lhs,
-    rhs=lambda p: rd.pp3_unity_rhs(p["a"], p["b"], p["c"], p["d"], p["n"], p["m"]),
-    validate=_pp3_unity_validate,
+    rhs=rd.pp3_unity_rhs,
+    positive=("c", "d"),
+    check=_pp3_unity_check,
     draw=lambda rng: (
         lambda p_count, n, m: {
             "a": _distinct_list(rng, p_count, 0.3, 4.0),
@@ -1097,25 +985,19 @@ _simple(
         "a's > 0 pairwise distinct; c, d > 0; b < 1 - max(n, m); convergent at z = 1"
     ),
     fixed_z=1.0,
-    unity=True,
     lists=("a",),
 )
 
-_simple(
+_register(
     "F32P0",
-    27,
     ("b", "c", "d"),
     ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["b"], p["c"] + p["n"], p["d"] + p["m"]], [p["c"], p["d"]], p["z"]
     ),
-    rhs=lambda p: rd.f32_p0_rhs(p["b"], p["c"], p["d"], p["n"], p["m"], p["z"]),
-    validate=lambda p: (
-        _require(p["c"] > 0.0, "requires c > 0"),
-        _require(p["d"] > 0.0, "requires d > 0"),
-        _require(p["z"] != 1.0, "requires z != 1"),
-        _require(abs(p["z"]) < 1.0, "requires |z| < 1"),
-    ),
+    rhs=rd.f32_p0_rhs,
+    positive=("c", "d"),
+    check=_z_in_unit_disk,
     draw=lambda rng: {
         "b": _u(rng, 0.3, 3.0),
         "c": _u(rng, 0.5, 4.0),
@@ -1129,5 +1011,4 @@ _simple(
         "with terminating Gauss-series factors"
     ),
     constraints="c, d > 0, |z| < 1",
-    z_range=(-0.8, 0.9),
 )

@@ -2,7 +2,8 @@
 
 Commands: eval (direct series), reduce (closed form by id), verify (randomized
 suite), catalog (list formulas).  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 numerical/domain-of-series error.
+failure, 2 usage error (including non-finite input), 3 numerical/domain-of-series
+error.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         result = eval_pfq(PFQSpec(upper, lower, args.z), max_terms=max_terms, tol=args.tol)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except HyperreduceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -158,15 +162,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     print("abs_err_est = " + _MACHINE_FMT.format(result.abs_err_est))
     if not args.check:
         return EXIT_OK
-    entry = catalog.get_entry(args.id)
-    oracle_tol = (
-        verifier.ORACLE_TOL_UNITY if entry.unity else verifier.ORACLE_TOL_INTERIOR
-    )
-    tol_rel, tol_abs = (
-        (verifier.UNITY_TOL_REL, verifier.UNITY_TOL_ABS)
-        if entry.unity
-        else (verifier.INTERIOR_TOL_REL, verifier.INTERIOR_TOL_ABS)
-    )
+    tol_rel, tol_abs, oracle_tol = verifier._case_tolerances(catalog.get_entry(args.id))
     try:
         oracle = eval_pfq(
             catalog.lhs_spec(request), max_terms=_default_max_terms(), tol=oracle_tol
@@ -174,9 +170,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     except (HyperreduceError, OverflowError) as exc:
         print(f"error: oracle failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    diff = abs(oracle.value - result.value)
-    rel_err = diff / abs(oracle.value) if oracle.value != 0.0 else diff
-    ok = diff <= max(tol_rel * abs(oracle.value), tol_abs)
+    ok, rel_err = verifier._compare(oracle.value, result.value, tol_rel, tol_abs)
     print("oracle      = " + _MACHINE_FMT.format(oracle.value))
     print("rel_err     = " + _MACHINE_FMT.format(rel_err))
     print(f"check       = {'pass' if ok else 'FAIL'}")

@@ -538,26 +538,37 @@ def _terminating_2f1(m: int, upper: float, lower: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def expand_main(spec: PFQSpec, c: float, n: int) -> EvalResult:
-    """Rewrite pFq(spec) as the finite binomial sum of (p+1)F(q+1) values
-    obtained by adjoining the contiguous pair (c+k over c+n+k)."""
+def _pair_sum(
+    upper: Sequence[float],
+    lower: Sequence[float],
+    z: float,
+    n: int,
+    den: float,
+    pair: tuple[tuple[float, ...], tuple[float, ...]] = ((), ()),
+) -> EvalResult:
+    """sum_{k<=n} C(n,k) z^k prod (a)_k / ((den)_k prod (b)_k) times
+    F(upper+k, pair[0]+k; lower+k, pair[1]+k; z), the loop shared by
+    expand_main (pair adjoined, den = c+n) and reduce_corollary (no pair,
+    den = c)."""
     if n < 0:
         raise DomainError("n must be non-negative")
+    inner_upper = tuple(upper) + pair[0]
+    inner_lower = tuple(lower) + pair[1]
     total = 0.0
     mag = 0.0
     err = 0.0
     terms = 0
     for k in range(n + 1):
-        coef = binomial(n, k) * spec.z**k / pochhammer(c + n, k)
-        for a in spec.upper:
+        coef = binomial(n, k) * z**k / pochhammer(den, k)
+        for a in upper:
             coef *= pochhammer(a, k)
-        for b in spec.lower:
+        for b in lower:
             coef /= pochhammer(b, k)
         inner = eval_pfq(
             PFQSpec(
-                tuple(a + k for a in spec.upper) + (c + k,),
-                tuple(b + k for b in spec.lower) + (c + n + k,),
-                spec.z,
+                tuple(a + k for a in inner_upper),
+                tuple(b + k for b in inner_lower),
+                z,
             )
         )
         total += coef * inner.value
@@ -567,11 +578,15 @@ def expand_main(spec: PFQSpec, c: float, n: int) -> EvalResult:
     return EvalResult(total, err + _EPS * mag, terms, Status.CONVERGED)
 
 
+def expand_main(spec: PFQSpec, c: float, n: int) -> EvalResult:
+    """Rewrite pFq(spec) as the finite binomial sum of (p+1)F(q+1) values
+    obtained by adjoining the contiguous pair (c+k over c+n+k)."""
+    return _pair_sum(spec.upper, spec.lower, spec.z, n, c + n, ((c,), (c + n,)))
+
+
 def reduce_corollary(spec_with_pair: PFQSpec, c: float, n: int) -> EvalResult:
     """Collapse the contiguous pair (upper c+n, lower c) of a (p+1)F(q+1)
     into the finite binomial sum of shifted pFq values."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
     upper = list(spec_with_pair.upper)
     lower = list(spec_with_pair.lower)
     try:
@@ -581,28 +596,7 @@ def reduce_corollary(spec_with_pair: PFQSpec, c: float, n: int) -> EvalResult:
         raise DomainError(
             f"spec does not contain the contiguous pair ({c + n} upper, {c} lower)"
         ) from None
-    total = 0.0
-    mag = 0.0
-    err = 0.0
-    terms = 0
-    for k in range(n + 1):
-        coef = binomial(n, k) * spec_with_pair.z**k / pochhammer(c, k)
-        for a in upper:
-            coef *= pochhammer(a, k)
-        for b in lower:
-            coef /= pochhammer(b, k)
-        inner = eval_pfq(
-            PFQSpec(
-                tuple(a + k for a in upper),
-                tuple(b + k for b in lower),
-                spec_with_pair.z,
-            )
-        )
-        total += coef * inner.value
-        mag += abs(coef * inner.value)
-        err += abs(coef) * inner.abs_err_est
-        terms += inner.terms_used
-    return EvalResult(total, err + _EPS * mag, terms, Status.CONVERGED)
+    return _pair_sum(upper, lower, spec_with_pair.z, n, c)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import (
     DivergentSeriesError,
+    DomainError,
     LowerPoleError,
     NonConvergentAtUnityError,
 )
@@ -91,11 +92,14 @@ def eval_pfq(
     consecutive terms (CONVERGED), when an upper parameter terminates the
     series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED).
 
-    Raises DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError
-    when the spec cannot be summed at all.
+    Raises DomainError for a non-finite parameter or z, and
+    DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
+    spec cannot be summed at all.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
+    if not all(map(math.isfinite, (*spec.upper, *spec.lower, spec.z))):
+        raise DomainError(f"parameters and z must be finite, got {spec}")
 
     p, q, z = len(spec.upper), len(spec.lower), spec.z
     n_stop = terminating_order(spec)

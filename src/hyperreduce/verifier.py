@@ -93,10 +93,20 @@ class Report:
         return sum(s.failed for s in self.summaries)
 
 
-def _case_tolerances(entry: catalog.CatalogEntry) -> tuple[float, float]:
+def _case_tolerances(entry: catalog.CatalogEntry) -> tuple[float, float, float]:
+    """(tol_rel, tol_abs, oracle_tol) for comparing the entry's two sides."""
     if entry.unity:
-        return UNITY_TOL_REL, UNITY_TOL_ABS
-    return INTERIOR_TOL_REL, INTERIOR_TOL_ABS
+        return UNITY_TOL_REL, UNITY_TOL_ABS, ORACLE_TOL_UNITY
+    return INTERIOR_TOL_REL, INTERIOR_TOL_ABS, ORACLE_TOL_INTERIOR
+
+
+def _compare(lhs: float, rhs: float, tol_rel: float, tol_abs: float) -> tuple[bool, float]:
+    """(passed, rel_err) of the closed form rhs against the oracle value lhs."""
+    diff = abs(lhs - rhs)
+    finite = math.isfinite(lhs) and math.isfinite(rhs)
+    passed = finite and diff <= max(tol_rel * abs(lhs), tol_abs)
+    rel_err = diff / abs(lhs) if lhs != 0.0 else (0.0 if diff == 0.0 else math.inf)
+    return passed, rel_err
 
 
 def sample_cases(entry_id: str, count: int, seed: int) -> list[VerificationCase]:
@@ -106,7 +116,7 @@ def sample_cases(entry_id: str, count: int, seed: int) -> list[VerificationCase]
         raise ValueError("count must be >= 1")
     entry = catalog.get_entry(entry_id)
     rng = np.random.default_rng(np.random.SeedSequence([seed, entry.ordinal]))
-    tol_rel, tol_abs = _case_tolerances(entry)
+    tol_rel, tol_abs, _ = _case_tolerances(entry)
     return [
         VerificationCase(
             case_id=f"{entry_id}-{seed}-{i:04d}",
@@ -121,7 +131,7 @@ def sample_cases(entry_id: str, count: int, seed: int) -> list[VerificationCase]
 def run_case(case: VerificationCase) -> CaseResult:
     """Compare closed form against the series oracle for one case."""
     entry = catalog.get_entry(case.request.id)
-    oracle_tol = ORACLE_TOL_UNITY if entry.unity else ORACLE_TOL_INTERIOR
+    _, _, oracle_tol = _case_tolerances(entry)
     try:
         spec = catalog.lhs_spec(case.request)
         rhs = catalog.reduce(case.request).value
@@ -132,16 +142,12 @@ def run_case(case: VerificationCase) -> CaseResult:
         return CaseResult(case.case_id, entry.id, case.request, None, None, None, False, ORACLE_NON_CONVERGENT)
     if oracle.status is Status.MAX_TERMS_REACHED:
         return CaseResult(case.case_id, entry.id, case.request, None, rhs, None, False, ORACLE_NON_CONVERGENT)
-    lhs = oracle.value
-    diff = abs(lhs - rhs)
-    finite = math.isfinite(lhs) and math.isfinite(rhs)
-    passed = finite and diff <= max(case.tol_rel * abs(lhs), case.tol_abs)
-    rel_err = diff / abs(lhs) if lhs != 0.0 else (0.0 if diff == 0.0 else math.inf)
+    passed, rel_err = _compare(oracle.value, rhs, case.tol_rel, case.tol_abs)
     return CaseResult(
         case.case_id,
         entry.id,
         case.request,
-        lhs,
+        oracle.value,
         rhs,
         rel_err,
         passed,

@@ -157,3 +157,97 @@ def test_sampled_requests_are_in_domain_everywhere():
             # must not raise
             catalog.reduce(req)
             catalog.lhs_spec(req)
+
+
+# Names each entry requires to be > 0 (scalars, and z where the series
+# argument is -z or the closed form needs z > 0); list parameters are
+# covered separately.
+POSITIVE = {
+    "F32HalfBateman": ("a", "c"),
+    "F21HalfBateman": ("a",),
+    "F21NegUnit": ("a",),
+    "F32HalfPlusM": ("a", "b", "c"),
+    "F32HalfMinusM": ("a", "c"),
+    "F32UnityJL": ("b",),
+    "F43Unity": ("b", "c"),
+    "F32UnityBB": ("b",),
+    "F43UnityNM": ("b", "c"),
+    "F01Bessel": ("b", "z"),
+    "F12BesselI": ("b", "c", "z"),
+    "F23BesselI": ("b", "c", "d", "z"),
+    "F12BesselJ": ("b", "c", "z"),
+    "F23BesselJ": ("b", "c", "d", "z"),
+    "F11IncGamma": ("a", "z"),
+    "F22IncGamma": ("a", "c", "z"),
+    "F11Laguerre": ("a",),
+    "F22Laguerre": ("a", "b"),
+    "F33Laguerre": ("a", "b", "c"),
+    "Mp1FmIncBeta": (),
+    "Pp2Fp1IncBeta": ("c",),
+    "Pp2Fp1Literature": ("c",),
+    "F21Contiguous": ("c",),
+    "Pp2Fp1Unity": ("c",),
+    "Pp3Fp2H": ("c", "d"),
+    "Pp3Fp2IncBeta": ("c", "d"),
+    "Pp3Fp2Unity": ("c", "d"),
+    "F32P0": ("c", "d"),
+}
+
+
+def _replace(req, name, value):
+    if name == "z":
+        return ReductionRequest(req.id, req.scalars, req.shifts, value)
+    return ReductionRequest(req.id, {**req.scalars, name: value}, req.shifts, req.z)
+
+
+def _assert_rejected(req):
+    with pytest.raises(DomainError):
+        catalog.reduce(req)
+    with pytest.raises(DomainError):
+        catalog.lhs_spec(req)
+
+
+@pytest.mark.parametrize("entry_id", catalog.catalog_ids())
+def test_shared_domain_rules_reject(entry_id):
+    entry = catalog.get_entry(entry_id)
+    req = catalog.sample_request(entry_id, np.random.default_rng(11))
+    catalog.reduce(req)
+    for name in POSITIVE[entry_id]:
+        _assert_rejected(_replace(req, name, 0.0))
+    for name in entry.list_names:
+        values = req.scalars[name]
+        _assert_rejected(_replace(req, name, (0.0,) + values[1:]))
+        _assert_rejected(_replace(req, name, values + values[:1]))
+
+
+# z = 1 requests that satisfy every rule except convergence of the series.
+DIVERGENT_AT_UNITY = [
+    ReductionRequest("F43Unity", {"a": 0.5, "b": 1.0, "c": 2.5}, {"n": 2}),
+    ReductionRequest("F32UnityBB", {"a": 0.5, "b": 1.0}, {"n": 2}),
+    ReductionRequest("F43UnityNM", {"a": 0.5, "b": 1.0, "c": 2.5}, {"n": 1, "m": 1}),
+    ReductionRequest("Pp2Fp1Unity", {"a": (1.0,), "b": 0.5, "c": 2.5}, {"n": 1}),
+    ReductionRequest(
+        "Pp3Fp2Unity", {"a": (1.0,), "b": -0.5, "c": 2.5, "d": 3.5}, {"n": 1, "m": 1}
+    ),
+]
+
+
+@pytest.mark.parametrize("req", DIVERGENT_AT_UNITY, ids=lambda r: r.id)
+def test_unity_margin_rejects(req):
+    with pytest.raises(DomainError, match="does not converge at z = 1"):
+        catalog.reduce(req)
+    with pytest.raises(DomainError, match="does not converge at z = 1"):
+        catalog.lhs_spec(req)
+
+
+NON_FINITE = [
+    ReductionRequest("F21Contiguous", {"b": math.nan, "c": 1.4}, {"n": 2}, 0.3),
+    ReductionRequest("F21Contiguous", {"b": math.inf, "c": 1.4}, {"n": 2}, 0.3),
+    ReductionRequest("Mp1FmIncBeta", {"a": (0.5, math.inf), "b": -0.5}, {}, 0.5),
+    ReductionRequest("F11Laguerre", {"a": 1.0}, {"n": 1}, math.nan),
+]
+
+
+@pytest.mark.parametrize("req", NON_FINITE, ids=lambda r: r.id)
+def test_non_finite_input_rejected(req):
+    _assert_rejected(req)

@@ -145,3 +145,16 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["eval", "--upper", "1", "--lower", "2", "--z", "0.5", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "F21Contiguous", "--b", "nan", "--c", "1.4", "--n", "2", "--z", "0.3"],
+        ["eval", "--upper", "nan", "--lower", "2", "--z", "0.5"],
+        ["eval", "--upper", "1", "--lower", "2", "--z", "nan"],
+    ],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    assert run(argv) == 2
+    assert "finite" in capsys.readouterr().err

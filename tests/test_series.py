@@ -6,6 +6,7 @@ import scipy.special
 
 from hyperreduce.errors import (
     DivergentSeriesError,
+    DomainError,
     LowerPoleError,
     NonConvergentAtUnityError,
 )
@@ -163,3 +164,16 @@ def test_result_is_frozen():
     assert isinstance(res, EvalResult)
     with pytest.raises(AttributeError):
         res.value = 2.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PFQSpec([1.0], [2.0], math.nan),
+        PFQSpec([math.nan], [2.0], 0.5),
+        PFQSpec([1.0], [math.inf], 0.5),
+    ],
+)
+def test_non_finite_spec_rejected(spec):
+    with pytest.raises(DomainError):
+        eval_pfq(spec)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -128,3 +129,23 @@ def test_summary_matches_results():
         assert entry_row["passed"] == sum(1 for r in results if r.passed)
         assert entry_row["skipped"] == sum(1 for r in results if r.skipped)
     assert summary["total_failed"] == report.total_failed
+
+
+# Hash of the deterministic report (summary without timing, plus JSONL) at
+# 30 cases per entry.  A refactor must leave both unchanged; a change that
+# alters a reported number must say so and update them on purpose.
+GOLDEN_REPORT_SHA256 = {
+    0: "be6c6c537b020d4fe0051b4646fbe8f955a90ab6fde7f8f67781a4692294b160",
+    1: "5234284168acfd58dc4ecb0fb3c9dd004c3e073175ed088e781fa42d6a6e6b17",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORT_SHA256))
+def test_golden_report_hash(seed):
+    report = verifier.run_suite(None, 30, seed)
+    text = (
+        json.dumps(verifier.report_summary(report, include_timing=False), sort_keys=True)
+        + "\n"
+        + verifier.report_to_jsonl(report)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
