@@ -140,12 +140,31 @@ GOLDEN_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORT_SHA256))
-def test_golden_report_hash(seed):
-    report = verifier.run_suite(None, 30, seed)
+# The same hash over the 22 interior (z != 1) entries only.  Their oracle never
+# sees |z| = 1, so a change to the z = 1 summation must leave these unchanged.
+GOLDEN_INTERIOR_SHA256 = {
+    0: "06320dfc5585e8e9b9bcc0a72623572a683ac2e58875617c9fddce0eaca2225d",
+    1: "6dd710bad4cf704313f89663cf072a05f28aaaaf688ae8a710c8097e74c79f30",
+}
+
+
+def _report_sha256(entries, seed):
+    report = verifier.run_suite(entries, 30, seed)
     text = (
         json.dumps(verifier.report_summary(report, include_timing=False), sort_keys=True)
         + "\n"
         + verifier.report_to_jsonl(report)
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[seed]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORT_SHA256))
+def test_golden_report_hash(seed):
+    assert _report_sha256(None, seed) == GOLDEN_REPORT_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_INTERIOR_SHA256))
+def test_golden_interior_report_hash(seed):
+    interior = [i for i in catalog.catalog_ids() if not catalog.get_entry(i).unity]
+    assert len(interior) == 22
+    assert _report_sha256(interior, seed) == GOLDEN_INTERIOR_SHA256[seed]
