@@ -3,6 +3,14 @@
 This module is the ground-truth oracle of the package: it knows nothing about
 closed forms and evaluates sum_k  prod_i (a_i)_k z^k / [k! prod_j (b_j)_k]
 term by term, with convergence policing and a tail-based error estimate.
+
+On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
+like k^-(1+s), s = unity_margin, and summing them until they are small takes
+10^3 to 10^5 terms.  The partial sums S_N at N = 16, 32, 64, ... terms are
+extrapolated instead by Richardson's rule with the exponents the remainder is
+known to have: S - S_N is a series in N^-sigma_j with sigma_j = s + j at
+z = +1 and sigma_j = s + 1 + j at z = -1 (N is even, so the alternating
+remainder keeps its sign).
 """
 
 from __future__ import annotations
@@ -29,12 +37,25 @@ INTEGER_SNAP = 1e-12
 # convergence; a single small term is unreliable for alternating series.
 SMALL_TERM_STREAK = 3
 
+# Richardson extrapolation on the unit circle: partial sums are taken at
+# N = RICHARDSON_FIRST_N * 2^i terms, and the sum stops no earlier than
+# RICHARDSON_MIN_LEVELS levels.  The rounding floor of the table is
+# RICHARDSON_NOISE * eps * sqrt(N) * sum|t_k| times the table's amplification
+# prod_j (2^sigma_j + 1) / (2^sigma_j - 1): term k carries the rounding of the
+# k products that formed it, which grows like sqrt(k).  The error estimate is
+# RICHARDSON_SAFETY times the last change of the diagonal plus that floor.
+RICHARDSON_FIRST_N = 16
+RICHARDSON_MIN_LEVELS = 3
+RICHARDSON_NOISE = 2.0
+RICHARDSON_SAFETY = 4.0
+
 _EPS = math.ulp(1.0)
 
 
 class Status(enum.Enum):
     CONVERGED = "Converged"
     TERMINATED = "Terminated"
+    EXTRAPOLATED = "Extrapolated"
     MAX_TERMS_REACHED = "MaxTermsReached"
 
 
@@ -92,6 +113,15 @@ def eval_pfq(
     consecutive terms (CONVERGED), when an upper parameter terminates the
     series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED).
 
+    On the unit circle (p = q + 1, |z| = 1, not terminating) the small-term
+    rule does not apply.  The partial sums at N = 16 * 2^i terms feed a
+    Richardson table with the remainder's known exponents (see the module
+    docstring); once it has at least three levels the sum stops when the
+    newest diagonal entry T differs from the previous one by at most
+    max(tol * |T|, rounding floor of the table) (EXTRAPOLATED).  There tol is
+    a relative tolerance on that change, the value is T, and abs_err_est is
+    four times the change plus the rounding floor.
+
     Raises DomainError for a non-finite parameter or z, and
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
     spec cannot be summed at all.
@@ -113,6 +143,7 @@ def eval_pfq(
                 f"lower parameter {b} hits a pole before the series terminates"
             )
 
+    on_circle = False  # summed by extrapolation
     if n_stop is None:
         if p > q + 1:
             raise DivergentSeriesError(
@@ -120,10 +151,11 @@ def eval_pfq(
             )
         if p == q + 1 and abs(z) > 1.0:
             raise DivergentSeriesError(f"{p}F{q} series diverges for |z| = {abs(z)} > 1")
-        if p == q + 1 and abs(z) == 1.0 and unity_margin(spec) <= 0.0:
-            raise NonConvergentAtUnityError(
-                f"convergence margin {unity_margin(spec):g} <= 0 at |z| = 1"
-            )
+        on_circle = p == q + 1 and abs(z) == 1.0
+        if on_circle:
+            margin = unity_margin(spec)
+            if margin <= 0.0:
+                raise NonConvergentAtUnityError(f"convergence margin {margin:g} <= 0 at |z| = 1")
 
     total = 1.0  # k = 0 term
     comp = 0.0  # Kahan compensation
@@ -135,35 +167,74 @@ def eval_pfq(
     k = 0
     status = Status.MAX_TERMS_REACHED
 
-    while k < max_terms:
-        if n_stop is not None and k >= n_stop:
-            status = Status.TERMINATED
-            break
-        factor = z / (k + 1)
-        for a in spec.upper:
-            factor *= a + k
-        for b in spec.lower:
-            factor /= b + k
-        term *= factor
-        if not math.isfinite(term):
-            raise OverflowError("series term overflowed to non-finite value")
-        k += 1
-        # Kahan-compensated accumulation
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_term = abs(term)
-        abs_sum += abs_term
-        ratio = abs_term / prev_abs if prev_abs > 0.0 else 0.0
-        prev_abs = abs_term if abs_term > 0.0 else prev_abs
-        if abs_term <= tol * abs(total):
-            streak += 1
-            if streak >= SMALL_TERM_STREAK:
-                status = Status.CONVERGED
+    if on_circle:
+        # Sum in segments that end at N = next_n terms, extrapolate at each
+        # end, and never stop on small terms.
+        next_n = RICHARDSON_FIRST_N
+        stop = min(next_n - 1, max_terms)
+        streak_tol = -math.inf
+        sigma = margin + (0.0 if z > 0.0 else 1.0)
+        row: list[float] = []  # the newest row of the Richardson table
+        divisors: list[float] = []  # 2^sigma_j - 1
+        amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
+    else:
+        stop = max_terms  # one segment
+        streak_tol = tol
+
+    while True:
+        while k < stop:
+            if n_stop is not None and k >= n_stop:
+                status = Status.TERMINATED
                 break
-        else:
-            streak = 0
+            factor = z / (k + 1)
+            for a in spec.upper:
+                factor *= a + k
+            for b in spec.lower:
+                factor /= b + k
+            term *= factor
+            if not math.isfinite(term):
+                raise OverflowError("series term overflowed to non-finite value")
+            k += 1
+            # Kahan-compensated accumulation
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            abs_term = abs(term)
+            abs_sum += abs_term
+            ratio = abs_term / prev_abs if prev_abs > 0.0 else 0.0
+            prev_abs = abs_term if abs_term > 0.0 else prev_abs
+            if abs_term <= streak_tol * abs(total):
+                streak += 1
+                if streak >= SMALL_TERM_STREAK:
+                    status = Status.CONVERGED
+                    break
+            else:
+                streak = 0
+        # Off the circle the one segment ends at max_terms or an earlier stop.
+        # On it neither stop applies, so every segment runs to its end, and
+        # one that ends at max_terms is the cap.
+        if stop == max_terms:
+            break
+        # total holds the first N = next_n terms: one more row of the table.
+        prev_row, row = row, [total]
+        for j, prev in enumerate(prev_row):
+            row.append(row[j] + (row[j] - prev) / divisors[j])
+        if len(row) >= RICHARDSON_MIN_LEVELS:
+            delta = abs(row[-1] - prev_row[-1])
+            noise = RICHARDSON_NOISE * _EPS * math.sqrt(next_n) * abs_sum * amplification
+            if delta <= max(tol * abs(row[-1]), noise):
+                return EvalResult(
+                    value=row[-1],
+                    abs_err_est=RICHARDSON_SAFETY * delta + noise,
+                    terms_used=k,
+                    status=Status.EXTRAPOLATED,
+                )
+        # Past 2^64 a correction is below rounding; the cap keeps it finite.
+        divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
+        amplification *= 1.0 + 2.0 / divisors[-1]
+        next_n *= 2
+        stop = min(next_n - 1, max_terms)
 
     rounding = _EPS * abs_sum
     if status is Status.TERMINATED:

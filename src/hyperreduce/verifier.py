@@ -28,9 +28,10 @@ INTERIOR_TOL_ABS = 1e-12
 UNITY_TOL_REL = 1e-6
 UNITY_TOL_ABS = 1e-9
 
-# Series-oracle stopping tolerance; relaxed at z = 1 where the tail decays
-# only algebraically (the sampling margin keeps the residual below the
-# comparison tolerance).
+# Series-oracle stopping tolerance.  At z = 1 the oracle extrapolates its
+# partial sums and stops once the extrapolated value changes by at most
+# ORACLE_TOL_UNITY relative to itself (or by the table's rounding floor), five
+# orders of magnitude inside UNITY_TOL_REL.
 ORACLE_TOL_INTERIOR = 1e-15
 ORACLE_TOL_UNITY = 1e-11
 

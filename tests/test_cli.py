@@ -23,6 +23,18 @@ def test_eval_chu_vandermonde(capsys):
     assert "Terminated" in out
 
 
+def test_eval_at_unity_is_extrapolated(capsys):
+    # 2F1(1, 1; 5/2; 1) = Gamma(5/2) Gamma(1/2) / Gamma(3/2)^2 = 3
+    assert run(["eval", "--upper", "1,1", "--lower", "2.5", "--z", "1"]) == 0
+    fields = {
+        key.strip(): value
+        for key, value in (line.split(" = ") for line in capsys.readouterr().out.split("\n")[:-1])
+    }
+    assert fields["status"] == "Extrapolated"
+    assert abs(float(fields["value"]) - 3.0) <= float(fields["abs_err_est"])
+    assert int(fields["terms_used"]) < 4096
+
+
 def test_eval_divergent_exits_3(capsys):
     assert run(["eval", "--upper", "1,1,1", "--lower", "2", "--z", "0.5"]) == 3
 

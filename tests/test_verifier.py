@@ -5,7 +5,7 @@ import pytest
 
 from hyperreduce import catalog, verifier
 from hyperreduce.catalog import ReductionRequest
-from hyperreduce.series import EvalResult, Status
+from hyperreduce.series import EvalResult, Status, eval_pfq
 
 
 def test_sample_cases_deterministic():
@@ -133,10 +133,12 @@ def test_summary_matches_results():
 
 # Hash of the deterministic report (summary without timing, plus JSONL) at
 # 30 cases per entry.  A refactor must leave both unchanged; a change that
-# alters a reported number must say so and update them on purpose.
+# alters a reported number must say so and update them on purpose.  Last
+# changed by the Richardson extrapolation at z = 1: only the lhs, rel_err and
+# worst_rel_err of the six z = 1 entries moved, and no |lhs - rhs| grew.
 GOLDEN_REPORT_SHA256 = {
-    0: "be6c6c537b020d4fe0051b4646fbe8f955a90ab6fde7f8f67781a4692294b160",
-    1: "5234284168acfd58dc4ecb0fb3c9dd004c3e073175ed088e781fa42d6a6e6b17",
+    0: "4b3483e6b710dd23fa4c3acc1e3de8cd83ffbee1591b58aba4157253cc1d2471",
+    1: "64beeb186a9fe851f0c8916a5a1e2c0a1b34c29aa2a4e6a37abf6e4cbab37100",
 }
 
 
@@ -168,3 +170,21 @@ def test_golden_interior_report_hash(seed):
     interior = [i for i in catalog.catalog_ids() if not catalog.get_entry(i).unity]
     assert len(interior) == 22
     assert _report_sha256(interior, seed) == GOLDEN_INTERIOR_SHA256[seed]
+
+
+def test_unity_entries_seed1_gate():
+    # The six z = 1 entries at the seed-1, 200-case gate: every case reaches a
+    # verdict and passes, and the oracle's error estimate covers its distance
+    # from the closed form.
+    unity = [i for i in catalog.catalog_ids() if catalog.get_entry(i).unity]
+    assert len(unity) == 6
+    report = verifier.run_suite(unity, 200, 1)
+    kinds = [r.failure_kind for r in report.results]
+    assert kinds.count(verifier.ORACLE_NON_CONVERGENT) == 0
+    assert kinds.count(verifier.MISMATCH) == 0
+    for result in report.results:
+        oracle = eval_pfq(catalog.lhs_spec(result.request), tol=verifier.ORACLE_TOL_UNITY)
+        assert oracle.status is Status.EXTRAPOLATED
+        assert oracle.value == result.lhs_value
+        rhs = result.rhs_value
+        assert abs(oracle.value - rhs) <= oracle.abs_err_est + 1e-14 * abs(rhs), result.case_id
