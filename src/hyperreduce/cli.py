@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -26,21 +25,6 @@ EXIT_NUMERIC = 3
 
 _MACHINE_FMT = "{:.17g}"
 _HUMAN_FMT = "{:.10g}"
-
-
-def _default_max_terms() -> int:
-    raw = os.environ.get("HYPERREDUCE_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(
-            f"HYPERREDUCE_MAX_TERMS must be a positive integer, got {raw!r}"
-        ) from None
-    return value
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -65,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--lower", default="", help="comma-separated lower parameters")
     p_eval.add_argument("--z", type=float, required=True)
     p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_eval.add_argument("--max-terms", type=int, default=None)
+    p_eval.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
 
     p_reduce = sub.add_parser("reduce", help="evaluate a named closed-form reduction")
     p_reduce.add_argument("id", help="reduction identifier (see `catalog`)")
@@ -93,21 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
-        upper = _parse_float_list(args.upper)
-        lower = _parse_float_list(args.lower)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.tol <= 0.0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    max_terms = args.max_terms if args.max_terms is not None else _default_max_terms()
-    if max_terms < 1:
-        print("error: --max-terms must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = eval_pfq(PFQSpec(upper, lower, args.z), max_terms=max_terms, tol=args.tol)
-    except DomainError as exc:
+        spec = PFQSpec(_parse_float_list(args.upper), _parse_float_list(args.lower), args.z)
+        result = eval_pfq(spec, max_terms=args.max_terms, tol=args.tol)
+    except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HyperreduceError as exc:
@@ -164,9 +136,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         return EXIT_OK
     tol_rel, tol_abs, oracle_tol = verifier._case_tolerances(catalog.get_entry(args.id))
     try:
-        oracle = eval_pfq(
-            catalog.lhs_spec(request), max_terms=_default_max_terms(), tol=oracle_tol
-        )
+        oracle = eval_pfq(catalog.lhs_spec(request), tol=oracle_tol)
     except (HyperreduceError, OverflowError) as exc:
         print(f"error: oracle failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -195,6 +165,9 @@ def _format_table(report: verifier.Report) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 1:
         print("error: --cases must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     entries = None
     if args.only is not None:

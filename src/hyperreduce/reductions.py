@@ -5,7 +5,10 @@ integer-shifted parameters).
 
 Every ``*_rhs`` evaluator returns ``(value, magnitude)`` where ``magnitude``
 accumulates the absolute values of the summands, so callers can turn it into
-a cancellation-based error estimate (magnitude * machine epsilon).
+a cancellation-based error estimate (magnitude * machine epsilon).  The
+``*_rhs`` evaluators assume arguments that ``catalog._validate`` has accepted
+and do not check their formula's domain again; the exported lemmas below them
+check their own input.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ class _Acc:
         self.total += x
         self.magnitude += abs(x)
 
+    def add_scaled(self, coef: float, inner: _Acc) -> None:
+        """Add coef times an inner sum, keeping the magnitude of its summands."""
+        self.total += coef * inner.total
+        self.magnitude += abs(coef) * inner.magnitude
+
 
 def require_distinct(values: Sequence[float], tol: float = DISTINCT_TOL) -> None:
     vs = list(values)
@@ -66,7 +74,6 @@ def require_distinct(values: Sequence[float], tol: float = DISTINCT_TOL) -> None
 def _partial_fraction_sum(a_list: Sequence[float], f) -> _Acc:
     """sum_l f(a_l) / prod_{j != l} (a_j - a_l), as used by the arbitrary-p
     formulas with pairwise-distinct denominators."""
-    require_distinct(a_list)
     acc = _Acc()
     for idx, al in enumerate(a_list):
         den = 1.0
@@ -144,8 +151,7 @@ def _f32_half_shifted(
             if sign_s and s % 2 == 1:
                 g = -g
             inner.add(binomial(m, s) * g)
-        acc.add(outer * inner.total)
-        acc.magnitude += abs(outer) * inner.magnitude - abs(outer * inner.total)
+        acc.add_scaled(outer, inner)
     return pre * acc.total, abs(pre) * acc.magnitude
 
 
@@ -188,8 +194,6 @@ def f32_unity_jl_rhs(a: float, b: float) -> tuple[float, float]:
 
 def f43_unity_rhs(a: float, b: float, c: float, n: int) -> tuple[float, float]:
     """4F3(a,b,b,c+n; b+1,b+1,c; 1) in terms of beta and psi values (b != c)."""
-    if abs(b - c) < DISTINCT_TOL:
-        raise DegenerateParametersError("requires b != c")
     pre = (
         b * b * complete_beta(1.0 - a, b) * pochhammer(c - b, n) / pochhammer(c, n)
     )
@@ -204,8 +208,6 @@ def f43_unity_rhs(a: float, b: float, c: float, n: int) -> tuple[float, float]:
 
 def f32_unity_bb_rhs(a: float, b: float, n: int) -> tuple[float, float]:
     """3F2(a,b,b+n; b+1,b+1; 1) = (n-1)! b^2 B(1-a,b) / (b)_n, n >= 1."""
-    if n < 1:
-        raise DomainError("requires n >= 1")
     value = (
         math.factorial(n - 1) * b * b * complete_beta(1.0 - a, b) / pochhammer(b, n)
     )
@@ -214,8 +216,6 @@ def f32_unity_bb_rhs(a: float, b: float, n: int) -> tuple[float, float]:
 
 def f43_unity_nm_rhs(a: float, b: float, c: float, n: int, m: int) -> tuple[float, float]:
     """4F3(a,b,b+n,c+m; b+1,b+1,c; 1), n >= 1."""
-    if n < 1:
-        raise DomainError("requires n >= 1")
     value, mag = f32_unity_bb_rhs(a, b, n)
     ratio = pochhammer(c - b, m) / pochhammer(c, m)
     return value * ratio, mag * abs(ratio)
@@ -228,15 +228,11 @@ def f43_unity_nm_rhs(a: float, b: float, c: float, n: int, m: int) -> tuple[floa
 
 def f01_bessel_rhs(b: float, z: float) -> tuple[float, float]:
     """0F1(;b;z) = z^((1-b)/2) Gamma(b) I_{b-1}(2 sqrt(z)), z > 0."""
-    if z <= 0.0:
-        raise DomainError("requires z > 0")
     value = z ** ((1.0 - b) / 2.0) * gamma_fn(b) * bessel_i(b - 1.0, 2.0 * math.sqrt(z))
     return value, abs(value)
 
 
 def _f12_bessel(b: float, c: float, n: int, z: float, modified: bool) -> tuple[float, float]:
-    if z <= 0.0:
-        raise DomainError("requires z > 0")
     root = 2.0 * math.sqrt(z)
     pre = z ** ((1.0 - b) / 2.0) * gamma_fn(b)
     acc = _Acc()
@@ -262,8 +258,6 @@ def f12_bessel_j_rhs(b: float, c: float, n: int, z: float) -> tuple[float, float
 def _f23_bessel(
     b: float, c: float, d: float, n: int, m: int, z: float, modified: bool
 ) -> tuple[float, float]:
-    if z <= 0.0:
-        raise DomainError("requires z > 0")
     root = 2.0 * math.sqrt(z)
     pre = z ** ((1.0 - b) / 2.0) * gamma_fn(b) * gamma_fn(d)
     acc = _Acc()
@@ -301,16 +295,12 @@ def f23_bessel_j_rhs(
 
 def f11_inc_gamma_rhs(a: float, z: float) -> tuple[float, float]:
     """1F1(a; a+1; -z) = a z^{-a} gamma_lower(a, z), z > 0."""
-    if z <= 0.0:
-        raise DomainError("requires z > 0")
     value = a * z ** (-a) * lower_incomplete_gamma(a, z)
     return value, abs(value)
 
 
 def f22_inc_gamma_rhs(a: float, c: float, n: int, z: float) -> tuple[float, float]:
     """2F2(a,c+n; a+1,c; -z) as an alternating sum of incomplete gammas."""
-    if z <= 0.0:
-        raise DomainError("requires z > 0")
     pre = a * z ** (-a)
     acc = _Acc()
     for k in range(n + 1):
@@ -366,8 +356,6 @@ def f33_laguerre_rhs(
 def m1m_inc_beta_rhs(a_list: Sequence[float], b: float, z: float) -> tuple[float, float]:
     """(m+1)Fm(b, a_1..a_m; a_1+1..a_m+1; z) as a partial-fraction sum of
     incomplete beta values, pairwise-distinct a's."""
-    if not 0.0 < z <= 1.0:
-        raise DomainError("requires 0 < z <= 1")
     pre = _product(a_list)
     acc = _partial_fraction_sum(
         a_list, lambda al: z ** (-al) * incomplete_beta(z, al, 1.0 - b)
@@ -379,8 +367,6 @@ def pp2_inc_beta_rhs(
     a_list: Sequence[float], b: float, c: float, n: int, z: float
 ) -> tuple[float, float]:
     """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; z) via incomplete betas."""
-    if not 0.0 < z <= 1.0:
-        raise DomainError("requires 0 < z <= 1")
     pre = _product(a_list)
     total = _Acc()
     for k in range(n + 1):
@@ -388,8 +374,7 @@ def pp2_inc_beta_rhs(
         inner = _partial_fraction_sum(
             a_list, lambda al, k=k: z ** (-al) * incomplete_beta(z, al + k, 1.0 - b - k)
         )
-        total.add(coef * inner.total)
-        total.magnitude += abs(coef) * inner.magnitude - abs(coef * inner.total)
+        total.add_scaled(coef, inner)
     return pre * total.total, abs(pre) * total.magnitude
 
 
@@ -398,8 +383,6 @@ def pp2_literature_rhs(
 ) -> tuple[float, float]:
     """Same left-hand side as pp2_inc_beta_rhs but through the n-th derivative
     operator acting on z^g B_z, the formulation found in earlier literature."""
-    if not 0.0 < z < 1.0:
-        raise DomainError("requires 0 < z < 1")
     pre = z ** (1.0 - c) / pochhammer(c, n) * _product(a_list)
     acc = _partial_fraction_sum(
         a_list, lambda al: h_derivative(n, al, 1.0 - b, n + c - al - 1.0, z)
@@ -409,8 +392,6 @@ def pp2_literature_rhs(
 
 def f21_contiguous_rhs(b: float, c: float, n: int, z: float) -> tuple[float, float]:
     """2F1(b,c+n; c; z) = (1-z)^{-b} sum_k C(n,k) (b)_k/(c)_k (z/(1-z))^k."""
-    if z >= 1.0:
-        raise DomainError("requires z < 1")
     ratio = z / (1.0 - z)
     pre = (1.0 - z) ** (-b)
     acc = _Acc()
@@ -435,8 +416,6 @@ def pp3_h_rhs(
 ) -> tuple[float, float]:
     """(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; z) through the m-th
     derivative operator acting on z^g B_z."""
-    if not 0.0 < z < 1.0:
-        raise DomainError("requires 0 < z < 1")
     pre = z ** (1.0 - d) * _product(a_list) / pochhammer(d, m)
     total = _Acc()
     for k in range(n + 1):
@@ -445,8 +424,7 @@ def pp3_h_rhs(
             a_list,
             lambda al, k=k: h_derivative(m, al + k, 1.0 - b - k, m + d - al - 1.0, z),
         )
-        total.add(coef * inner.total)
-        total.magnitude += abs(coef) * inner.magnitude - abs(coef * inner.total)
+        total.add_scaled(coef, inner)
     return pre * total.total, abs(pre) * total.magnitude
 
 
@@ -455,8 +433,6 @@ def pp3_inc_beta_rhs(
 ) -> tuple[float, float]:
     """Same left-hand side as pp3_h_rhs, written directly through incomplete
     beta values (the simpler of the two equivalent forms)."""
-    if not 0.0 < z <= 1.0:
-        raise DomainError("requires 0 < z <= 1")
     pre = _product(a_list) / pochhammer(d, m)
     total = _Acc()
     for k in range(n + 1):
@@ -473,8 +449,7 @@ def pp3_inc_beta_rhs(
                 lambda al, k=k, s=s: z ** (-al)
                 * incomplete_beta(z, al + k + s, 1.0 - b - k - s),
             )
-            total.add(coef * inner.total)
-            total.magnitude += abs(coef) * inner.magnitude - abs(coef * inner.total)
+            total.add_scaled(coef, inner)
     return pre * total.total, abs(pre) * total.magnitude
 
 
@@ -483,8 +458,6 @@ def pp3_unity_rhs(
 ) -> tuple[float, float]:
     """(p+3)F(p+2)(...; 1) as a pure beta-function partial-fraction sum;
     requires b < 1 - max(n, m)."""
-    if b >= 1.0 - max(n, m):
-        raise DomainError("requires b < 1 - max(n, m)")
     pre = _product(a_list) / (pochhammer(d, m) * pochhammer(c, n))
     acc = _partial_fraction_sum(
         a_list,
@@ -499,10 +472,6 @@ def f32_p0_rhs(
     b: float, c: float, d: float, n: int, m: int, z: float
 ) -> tuple[float, float]:
     """3F2(b,c+n,d+m; c,d; z), z != 1, via terminating inner 2F1 sums."""
-    if z == 1.0:
-        raise DomainError("requires z != 1")
-    if z > 1.0:
-        raise DomainError("requires z < 1")
     ratio = z / (1.0 - z)
     pre = (1.0 - z) ** (-(b + m))
     acc = _Acc()
@@ -731,14 +700,11 @@ def pfp_polynomial_coeffs(
                 raise DegenerateNodesError("coincident interpolation nodes")
     fit_nodes = list(z_nodes[: degree + 1])
     fit_values = [shifted_pfp_damped(a, n, x) for x in fit_nodes]
-    # Newton form via the divided-difference table, then expansion to
-    # monomial coefficients.
-    table = list(fit_values)
-    newton = [table[0]]
-    for level in range(1, degree + 1):
-        for i in range(degree + 1 - level):
-            table[i] = (table[i + 1] - table[i]) / (fit_nodes[i + level] - fit_nodes[i])
-        newton.append(table[0])
+    # Newton form, then expansion to monomial coefficients.
+    newton = [
+        divided_difference(fit_nodes[: i + 1], fit_values[: i + 1])
+        for i in range(degree + 1)
+    ]
     coeffs = [0.0] * (degree + 1)
     coeffs[0] = newton[degree]
     for level in range(degree - 1, -1, -1):

@@ -122,12 +122,15 @@ def eval_pfq(
     a relative tolerance on that change, the value is T, and abs_err_est is
     four times the change plus the rounding floor.
 
-    Raises DomainError for a non-finite parameter or z, and
+    Raises ValueError unless max_terms >= 1 and 0 < tol < inf, DomainError
+    for a non-finite parameter or z, and
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
     spec cannot be summed at all.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not all(map(math.isfinite, (*spec.upper, *spec.lower, spec.z))):
         raise DomainError(f"parameters and z must be finite, got {spec}")
 

@@ -251,3 +251,58 @@ NON_FINITE = [
 @pytest.mark.parametrize("req", NON_FINITE, ids=lambda r: r.id)
 def test_non_finite_input_rejected(req):
     _assert_rejected(req)
+
+
+# One request per domain rule that the closed forms in ``reductions`` leave to
+# the catalog; each breaks that rule and no other.
+OUT_OF_DOMAIN = [
+    ("b=c", ReductionRequest("F43Unity", {"a": 0.5, "b": 1.2, "c": 1.2}, {"n": 1})),
+    ("n=0", ReductionRequest("F32UnityBB", {"a": 0.5, "b": 1.5}, {"n": 0})),
+    ("n=0", ReductionRequest("F43UnityNM", {"a": -1.0, "b": 1.5, "c": 2.5}, {"n": 0, "m": 1})),
+    ("z=0", ReductionRequest("F01Bessel", {"b": 1.5}, {}, 0.0)),
+    ("z<0", ReductionRequest("F12BesselI", {"b": 0.7, "c": 1.3}, {"n": 1}, -2.0)),
+    ("z=0", ReductionRequest("F12BesselJ", {"b": 0.7, "c": 1.3}, {"n": 1}, 0.0)),
+    ("z=0", ReductionRequest("F23BesselI", {"b": 0.7, "c": 1.3, "d": 2.5}, {"n": 1, "m": 1}, 0.0)),
+    ("z<0", ReductionRequest("F23BesselJ", {"b": 0.7, "c": 1.3, "d": 2.5}, {"n": 1, "m": 1}, -2.0)),
+    ("z=-1", ReductionRequest("F11IncGamma", {"a": 0.6}, {}, -1.0)),
+    ("z=0", ReductionRequest("F22IncGamma", {"a": 0.6, "c": 1.3}, {"n": 1}, 0.0)),
+    ("z=1", ReductionRequest("Mp1FmIncBeta", {"a": (0.5, 1.5), "b": -0.5}, {}, 1.0)),
+    ("z=1", ReductionRequest("Pp2Fp1IncBeta", {"a": (0.5, 1.5), "b": -0.5, "c": 2.0}, {"n": 1}, 1.0)),
+    ("z=0", ReductionRequest("Pp2Fp1Literature", {"a": (2.5,), "b": 0.2, "c": 2.5}, {"n": 2}, 0.0)),
+    ("z=1", ReductionRequest("F21Contiguous", {"b": 0.5, "c": 1.3}, {"n": 1}, 1.0)),
+    ("z=1", ReductionRequest("Pp3Fp2H", {"a": (2.5,), "b": 0.2, "c": 2.5, "d": 1.5}, {"n": 1, "m": 2}, 1.0)),
+    (
+        "z=1",
+        ReductionRequest(
+            "Pp3Fp2IncBeta", {"a": (0.5, 1.5), "b": -0.5, "c": 2.0, "d": 2.5}, {"n": 1, "m": 1}, 1.0
+        ),
+    ),
+    (
+        "b>=1-max(n,m)",
+        ReductionRequest(
+            "Pp3Fp2Unity", {"a": (0.5, 1.5), "b": -0.5, "c": 2.5, "d": 3.5}, {"n": 2, "m": 1}
+        ),
+    ),
+    ("z=1", ReductionRequest("F32P0", {"b": 0.5, "c": 1.3, "d": 2.5}, {"n": 1, "m": 1}, 1.0)),
+    ("z=1.2", ReductionRequest("F32P0", {"b": 0.5, "c": 1.3, "d": 2.5}, {"n": 1, "m": 1}, 1.2)),
+    ("repeated-a", ReductionRequest("Pp2Fp1Unity", {"a": (0.5, 0.5), "b": 0.5, "c": 2.5}, {"n": 1})),
+]
+
+
+@pytest.mark.parametrize(
+    "req", [req for _, req in OUT_OF_DOMAIN], ids=[f"{r.id}-{rule}" for rule, r in OUT_OF_DOMAIN]
+)
+def test_domain_is_decided_before_rhs(req):
+    entry = catalog.get_entry(req.id)
+    original = entry.rhs
+
+    def rhs(*args):
+        pytest.fail(f"{req.id}: rhs ran on out-of-domain arguments {args}")
+
+    # CatalogEntry is frozen; swap its rhs for the length of the call.
+    object.__setattr__(entry, "rhs", rhs)
+    try:
+        with pytest.raises(DomainError):
+            catalog.reduce(req)
+    finally:
+        object.__setattr__(entry, "rhs", original)

@@ -42,20 +42,17 @@ def test_eval_divergent_exits_3(capsys):
 def test_eval_usage_errors(capsys):
     assert run(["eval", "--upper", "1,x", "--lower", "2", "--z", "0.5"]) == 2
     assert run(["eval", "--upper", "1", "--lower", "2", "--z", "0.5", "--tol", "-1"]) == 2
+    assert run(["eval", "--upper", "1", "--lower", "2", "--z", "0.5", "--tol", "inf"]) == 2
+    assert run(["eval", "--upper", "1", "--lower", "2", "--z", "0.5", "--tol", "nan"]) == 2
     assert run(["eval", "--upper", "1", "--lower", "2", "--z", "0.5", "--max-terms", "0"]) == 2
     with pytest.raises(SystemExit) as exc:
         run(["eval", "--upper", "1", "--lower", "2"])  # missing --z
     assert exc.value.code == 2
 
 
-def test_eval_env_max_terms(monkeypatch, capsys):
-    monkeypatch.setenv("HYPERREDUCE_MAX_TERMS", "10")
-    assert run(["eval", "--upper", "0.5", "--lower", "", "--z", "0.99"]) == 3
-    out = capsys.readouterr().out
-    assert "MaxTermsReached" in out
-    monkeypatch.setenv("HYPERREDUCE_MAX_TERMS", "junk")
-    with pytest.raises(SystemExit):
-        run(["eval", "--upper", "0.5", "--lower", "", "--z", "0.99"])
+def test_eval_term_cap_exits_3(capsys):
+    assert run(["eval", "--upper", "0.5", "--lower", "", "--z", "0.99", "--max-terms", "10"]) == 3
+    assert "MaxTermsReached" in capsys.readouterr().out
 
 
 def test_reduce_basic(capsys):
@@ -105,6 +102,9 @@ def test_verify_usage_errors(capsys):
     assert run(["verify", "--cases", "0"]) == 2
     assert run(["verify", "--only", "NoSuchId", "--cases", "1"]) == 2
     assert run(["verify", "--only", ",", "--cases", "1"]) == 2
+    capsys.readouterr()
+    assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_json_round_trip(capsys):

@@ -152,6 +152,12 @@ def test_max_terms_reached():
         eval_pfq(PFQSpec([], [], 0.5), max_terms=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError):
+        eval_pfq(PFQSpec([1.0, 1.0], [2.0], 0.5), tol=tol)
+
+
 def test_error_estimate_self_consistency():
     # Halving tol changes the value by less than the reported estimate.
     rng = np.random.default_rng(10)

@@ -19,20 +19,18 @@ def test_sample_cases_deterministic():
 
 
 def test_case_tolerances_by_entry_kind():
-    interior = verifier.sample_cases("F21Contiguous", 1, 0)[0]
-    assert interior.tol_rel == verifier.INTERIOR_TOL_REL
-    unity = verifier.sample_cases("F32UnityJL", 1, 0)[0]
-    assert unity.tol_rel == verifier.UNITY_TOL_REL
-    with pytest.raises(ValueError):
-        verifier.VerificationCase("x", unity.request, -1.0, 1e-12)
+    assert verifier._case_tolerances(catalog.get_entry("F21Contiguous")) == (
+        verifier.INTERIOR_TOL_REL, verifier.INTERIOR_TOL_ABS, verifier.ORACLE_TOL_INTERIOR
+    )
+    assert verifier._case_tolerances(catalog.get_entry("F32UnityJL")) == (
+        verifier.UNITY_TOL_REL, verifier.UNITY_TOL_ABS, verifier.ORACLE_TOL_UNITY
+    )
 
 
 def test_run_case_trivial_n0():
     case = verifier.VerificationCase(
         "t-0",
         ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 0}, 0.3),
-        1e-9,
-        1e-12,
     )
     result = verifier.run_case(case)
     assert result.passed
@@ -51,8 +49,6 @@ def test_run_case_corrupted_rhs_is_mismatch(monkeypatch):
     case = verifier.VerificationCase(
         "t-1",
         ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 1}, 0.3),
-        1e-9,
-        1e-12,
     )
     result = verifier.run_case(case)
     assert not result.passed
