@@ -429,15 +429,14 @@ _register(
 
 def _f43_unity_check(p: dict) -> None:
     _require(1.0 - p["a"] > 0.0, "requires a < 1")
-    if abs(p["b"] - p["c"]) < rd.DISTINCT_TOL:
-        raise DegenerateParametersError("requires b != c")
+    if abs(p["b"] - p["c"]) < POLE_DIST:
+        raise DegenerateParametersError(f"requires |b - c| >= {POLE_DIST}")
     n = p["n"]
     _require_off_poles(
         [1.0 + p["b"] - p["a"], 1.0 + p["b"] - p["c"], 1.0 + p["b"] - p["c"] - n],
         "psi argument",
     )
     _require_off_poles([p["c"] - p["b"] + j for j in range(n)], "(c-b)_n factor")
-    _require(abs(p["b"] - p["c"]) >= POLE_DIST, "b too close to c")
 
 
 _register(
@@ -464,7 +463,7 @@ _register(
         "4F3(a,b,b,c+n; b+1,b+1,c; 1) as b^2 B(1-a,b) (c-b)_n/(c)_n times a "
         "four-term psi combination, b != c"
     ),
-    constraints="b, c > 0; a < 1; b != c; psi arguments off poles; convergent at z = 1",
+    constraints="b, c > 0; a < 1; |b - c| >= 0.05; psi arguments off poles; convergent at z = 1",
     fixed_z=1.0,
 )
 

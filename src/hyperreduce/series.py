@@ -2,7 +2,9 @@
 
 This module is the ground-truth oracle of the package: it knows nothing about
 closed forms and evaluates sum_k  prod_i (a_i)_k z^k / [k! prod_j (b_j)_k]
-term by term, with convergence policing and a tail-based error estimate.
+by the term recurrence t_{k+1} = t_k z prod_i (a_i + k) / [(k+1) prod_j (b_j + k)],
+with convergence policing and a tail-based error estimate.  Off the unit
+circle it sums term by term and stops on small terms.
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -10,7 +12,9 @@ like k^-(1+s), s = unity_margin, and summing them until they are small takes
 extrapolated instead by Richardson's rule with the exponents the remainder is
 known to have: S - S_N is a series in N^-sigma_j with sigma_j = s + j at
 z = +1 and sigma_j = s + 1 + j at z = -1 (N is even, so the alternating
-remainder keeps its sign).
+remainder keeps its sign).  There the terms between two such N are formed as
+one NumPy array, bitwise equal to the term-by-term recurrence, and only their
+Kahan sum runs one term at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DivergentSeriesError,
@@ -120,7 +126,8 @@ def eval_pfq(
     newest diagonal entry T differs from the previous one by at most
     max(tol * |T|, rounding floor of the table) (EXTRAPOLATED).  There tol is
     a relative tolerance on that change, the value is T, and abs_err_est is
-    four times the change plus the rounding floor.
+    four times the change plus the rounding floor.  The terms of each segment
+    are computed as arrays, with the same values as one at a time.
 
     Raises ValueError unless max_terms >= 1 and 0 < tol < inf, DomainError
     for a non-finite parameter or z, and
@@ -146,7 +153,6 @@ def eval_pfq(
                 f"lower parameter {b} hits a pole before the series terminates"
             )
 
-    on_circle = False  # summed by extrapolation
     if n_stop is None:
         if p > q + 1:
             raise DivergentSeriesError(
@@ -154,11 +160,11 @@ def eval_pfq(
             )
         if p == q + 1 and abs(z) > 1.0:
             raise DivergentSeriesError(f"{p}F{q} series diverges for |z| = {abs(z)} > 1")
-        on_circle = p == q + 1 and abs(z) == 1.0
-        if on_circle:
+        if p == q + 1 and abs(z) == 1.0:
             margin = unity_margin(spec)
             if margin <= 0.0:
                 raise NonConvergentAtUnityError(f"convergence margin {margin:g} <= 0 at |z| = 1")
+            return _extrapolate_on_circle(spec, margin, max_terms, tol)
 
     total = 1.0  # k = 0 term
     comp = 0.0  # Kahan compensation
@@ -169,56 +175,114 @@ def eval_pfq(
     streak = 0
     k = 0
     status = Status.MAX_TERMS_REACHED
-
-    if on_circle:
-        # Sum in segments that end at N = next_n terms, extrapolate at each
-        # end, and never stop on small terms.
-        next_n = RICHARDSON_FIRST_N
-        stop = min(next_n - 1, max_terms)
-        streak_tol = -math.inf
-        sigma = margin + (0.0 if z > 0.0 else 1.0)
-        row: list[float] = []  # the newest row of the Richardson table
-        divisors: list[float] = []  # 2^sigma_j - 1
-        amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
-    else:
-        stop = max_terms  # one segment
-        streak_tol = tol
-
-    while True:
-        while k < stop:
-            if n_stop is not None and k >= n_stop:
-                status = Status.TERMINATED
-                break
-            factor = z / (k + 1)
-            for a in spec.upper:
-                factor *= a + k
-            for b in spec.lower:
-                factor /= b + k
-            term *= factor
-            if not math.isfinite(term):
-                raise OverflowError("series term overflowed to non-finite value")
-            k += 1
-            # Kahan-compensated accumulation
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            abs_term = abs(term)
-            abs_sum += abs_term
-            ratio = abs_term / prev_abs if prev_abs > 0.0 else 0.0
-            prev_abs = abs_term if abs_term > 0.0 else prev_abs
-            if abs_term <= streak_tol * abs(total):
-                streak += 1
-                if streak >= SMALL_TERM_STREAK:
-                    status = Status.CONVERGED
-                    break
-            else:
-                streak = 0
-        # Off the circle the one segment ends at max_terms or an earlier stop.
-        # On it neither stop applies, so every segment runs to its end, and
-        # one that ends at max_terms is the cap.
-        if stop == max_terms:
+    while k < max_terms:
+        if n_stop is not None and k >= n_stop:
+            status = Status.TERMINATED
             break
+        factor = z / (k + 1)
+        for a in spec.upper:
+            factor *= a + k
+        for b in spec.lower:
+            factor /= b + k
+        term *= factor
+        if not math.isfinite(term):
+            raise OverflowError("series term overflowed to non-finite value")
+        k += 1
+        # Kahan-compensated accumulation
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_term = abs(term)
+        abs_sum += abs_term
+        ratio = abs_term / prev_abs if prev_abs > 0.0 else 0.0
+        prev_abs = abs_term if abs_term > 0.0 else prev_abs
+        if abs_term <= tol * abs(total):
+            streak += 1
+            if streak >= SMALL_TERM_STREAK:
+                status = Status.CONVERGED
+                break
+        else:
+            streak = 0
+
+    rounding = _EPS * abs_sum
+    if status is Status.TERMINATED:
+        err = rounding
+    elif status is Status.CONVERGED:
+        # Geometric tail bound from the observed ratio; for slowly decaying
+        # (algebraic) tails the ratio is near 1 and the bound inflates, which
+        # is the conservative direction.
+        if ratio < 0.999999:
+            tail = abs(term) * ratio / (1.0 - ratio)
+        else:
+            tail = abs(term) * k
+        err = max(tail, 3.0 * abs(term)) + rounding
+    else:
+        err = abs(term) * k + rounding
+    return EvalResult(value=total, abs_err_est=err, terms_used=k, status=status)
+
+
+def _extrapolate_on_circle(
+    spec: PFQSpec, margin: float, max_terms: int, tol: float
+) -> EvalResult:
+    """Sum a series on the unit circle in segments and extrapolate at each end.
+
+    Segment i holds the terms that bring the partial sum to N = 16 * 2^i terms
+    (or to max_terms).  Its factors z (a+k)... / ((k+1) (b+k)...) are formed as
+    arrays in the per-term recurrence's order, and its terms by a sequential
+    product seeded with the previous term, so every term is bitwise the one
+    that recurrence gives.  The Kahan sum of the terms stays a scalar loop.
+    """
+    z = spec.z
+    total = 1.0  # k = 0 term
+    comp = 0.0  # Kahan compensation
+    abs_sum = 1.0
+    term = 1.0
+    k = 0
+    next_n = RICHARDSON_FIRST_N
+    sigma = margin + (0.0 if z > 0.0 else 1.0)
+    row: list[float] = []  # the newest row of the Richardson table
+    divisors: list[float] = []  # 2^sigma_j - 1
+    amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
+    while True:
+        stop = min(next_n - 1, max_terms)
+        ks = np.arange(k, stop, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = z / (ks + 1.0)
+            for a in spec.upper:
+                terms *= a + ks
+            for b in spec.lower:
+                terms /= b + ks
+            terms[0] *= term
+            np.multiply.accumulate(terms, out=terms)
+            # A sequential running sum (not numpy's pairwise one), seeded like
+            # the product: bitwise abs_sum += |t| term by term.
+            magnitudes = np.abs(terms)
+            magnitudes[0] += abs_sum
+            np.add.accumulate(magnitudes, out=magnitudes)
+        segment = terms.tolist()
+        term = segment[-1]
+        # A non-finite term stays non-finite through the product, so the last
+        # one tells whether any overflowed.
+        if not math.isfinite(term):
+            raise OverflowError("series term overflowed to non-finite value")
+        k = stop
+        for t in segment:
+            # Kahan-compensated accumulation
+            y = t - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        abs_sum = magnitudes[-1].item()
+        # Neither stop of the per-term loop applies here, so every segment
+        # runs to its end, and one that ends at max_terms is the cap.
+        if stop == max_terms:
+            return EvalResult(
+                value=total,
+                abs_err_est=abs(term) * k + _EPS * abs_sum,
+                terms_used=k,
+                status=Status.MAX_TERMS_REACHED,
+            )
         # total holds the first N = next_n terms: one more row of the table.
         prev_row, row = row, [total]
         for j, prev in enumerate(prev_row):
@@ -237,20 +301,3 @@ def eval_pfq(
         divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
         amplification *= 1.0 + 2.0 / divisors[-1]
         next_n *= 2
-        stop = min(next_n - 1, max_terms)
-
-    rounding = _EPS * abs_sum
-    if status is Status.TERMINATED:
-        err = rounding
-    elif status is Status.CONVERGED:
-        # Geometric tail bound from the observed ratio; for slowly decaying
-        # (algebraic) tails the ratio is near 1 and the bound inflates, which
-        # is the conservative direction.
-        if ratio < 0.999999:
-            tail = abs(term) * ratio / (1.0 - ratio)
-        else:
-            tail = abs(term) * k
-        err = max(tail, 3.0 * abs(term)) + rounding
-    else:
-        err = abs(term) * k + rounding
-    return EvalResult(value=total, abs_err_est=err, terms_used=k, status=status)

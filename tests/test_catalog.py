@@ -129,6 +129,16 @@ def test_domain_validation():
         catalog.reduce(ReductionRequest("F32UnityBB", {"a": 0.2, "b": 1.0}, {"n": 0}))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_f43_unity_b_near_c_is_degenerate(n):
+    # One rule rejects |b - c| < 0.05, ahead of the psi-pole check that
+    # 1 + b - c - n would otherwise trip for n >= 1.
+    with pytest.raises(DegenerateParametersError, match=r"\|b - c\|"):
+        catalog.reduce(
+            ReductionRequest("F43Unity", {"a": 0.2, "b": 1.0, "c": 1.01}, {"n": n})
+        )
+
+
 def test_sampling_determinism():
     for entry_id in ("F21Contiguous", "Pp3Fp2Unity", "F43Unity"):
         rng1 = np.random.default_rng(42)

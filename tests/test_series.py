@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +15,12 @@ from hyperreduce.errors import (
     NonConvergentAtUnityError,
 )
 from hyperreduce.series import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TOL,
+    RICHARDSON_FIRST_N,
+    RICHARDSON_MIN_LEVELS,
+    RICHARDSON_NOISE,
+    RICHARDSON_SAFETY,
     EvalResult,
     PFQSpec,
     Status,
@@ -284,3 +291,98 @@ def test_large_margin_at_unity():
     res = eval_pfq(PFQSpec([1.0, 1.0], [2000.0], 1.0))
     assert res.status is Status.EXTRAPOLATED
     assert abs(res.value - 1999.0 / 1998.0) <= res.abs_err_est <= 1e-13
+
+
+def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
+    """The unit-circle sum of eval_pfq computed one term at a time.
+
+    The reference for the segment-at-a-time sum: the same recurrence, Kahan
+    sum, Richardson table, stop rule and estimates, with each term formed
+    as term *= z (a+k)... / ((k+1) (b+k)...).
+    """
+    z = spec.z
+    total, comp, abs_sum, term, k = 1.0, 0.0, 1.0, 1.0, 0
+    eps = math.ulp(1.0)
+    next_n = RICHARDSON_FIRST_N
+    sigma = unity_margin(spec) + (0.0 if z > 0.0 else 1.0)
+    row, divisors, amplification = [], [], 1.0
+    while True:
+        stop = min(next_n - 1, max_terms)
+        while k < stop:
+            factor = z / (k + 1)
+            for a in spec.upper:
+                factor *= a + k
+            for b in spec.lower:
+                factor /= b + k
+            term *= factor
+            if not math.isfinite(term):
+                raise OverflowError("series term overflowed to non-finite value")
+            k += 1
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            abs_sum += abs(term)
+        if stop == max_terms:
+            return EvalResult(total, abs(term) * k + eps * abs_sum, k, Status.MAX_TERMS_REACHED)
+        prev_row, row = row, [total]
+        for j, prev in enumerate(prev_row):
+            row.append(row[j] + (row[j] - prev) / divisors[j])
+        if len(row) >= RICHARDSON_MIN_LEVELS:
+            delta = abs(row[-1] - prev_row[-1])
+            noise = RICHARDSON_NOISE * eps * math.sqrt(next_n) * abs_sum * amplification
+            if delta <= max(tol * abs(row[-1]), noise):
+                return EvalResult(
+                    row[-1], RICHARDSON_SAFETY * delta + noise, k, Status.EXTRAPOLATED
+                )
+        divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
+        amplification *= 1.0 + 2.0 / divisors[-1]
+        next_n *= 2
+
+
+def _bits(res):
+    return (res.value.hex(), res.abs_err_est.hex(), res.terms_used, res.status)
+
+
+# pFq with p in {2, 3, 4} on the unit circle: p upper parameters in [-2.5, 3],
+# p - 2 lower ones in [0.05, 4], and the last lower one set by the margin.
+_circle_spec = st.integers(2, 4).flatmap(
+    lambda p: st.tuples(
+        st.lists(_param, min_size=p, max_size=p),
+        st.lists(_margin, min_size=p - 2, max_size=p - 2),
+        _margin,
+        st.sampled_from([1.0, -1.0]),
+    )
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    drawn=_circle_spec,
+    tol=st.sampled_from([1e-15, 1e-11, 1e-6]),
+    max_terms=st.sampled_from([1, 15, 16, 17, 37, 1000, None]),
+)
+def test_segments_match_per_term_sum(drawn, tol, max_terms):
+    upper, lower, s, z = drawn
+    lower = lower + [sum(upper) - sum(lower) + s]
+    assume(not any(map(_is_pole, upper + lower)))
+    spec = PFQSpec(upper, lower, z)
+    assert unity_margin(spec) == s
+    cap = {} if max_terms is None else {"max_terms": max_terms}
+    assert _bits(eval_pfq(spec, tol=tol, **cap)) == _bits(
+        _per_term_on_circle(spec, tol=tol, **cap)
+    )
+
+
+def test_overflow_on_circle_raises_without_warning():
+    # The terms grow like 500^k at first and overflow inside the first segment.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            eval_pfq(PFQSpec([1000, 1000], [2001.5], 1.0))
