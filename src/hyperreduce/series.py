@@ -12,9 +12,10 @@ like k^-(1+s), s = unity_margin, and summing them until they are small takes
 extrapolated instead by Richardson's rule with the exponents the remainder is
 known to have: S - S_N is a series in N^-sigma_j with sigma_j = s + j at
 z = +1 and sigma_j = s + 1 + j at z = -1 (N is even, so the alternating
-remainder keeps its sign).  There the terms between two such N are formed as
-one NumPy array, bitwise equal to the term-by-term recurrence, and only their
-Kahan sum runs one term at a time.
+remainder keeps its sign).  There no Python loop runs over single terms: they
+are formed as NumPy arrays a few levels at a time, bitwise equal to the
+term-by-term recurrence, and each S_N is the correctly rounded partial sum,
+from math.fsum over the terms between two such N and a TwoSum carry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +55,12 @@ RICHARDSON_FIRST_N = 16
 RICHARDSON_MIN_LEVELS = 3
 RICHARDSON_NOISE = 2.0
 RICHARDSON_SAFETY = 4.0
+
+# The unit-circle terms are formed in passes of several Richardson levels: the
+# first ends at CIRCLE_FIRST_PASS_N terms, each later one CIRCLE_PASS_GROWTH
+# times further out.
+CIRCLE_FIRST_PASS_N = 256
+CIRCLE_PASS_GROWTH = 4
 
 _EPS = math.ulp(1.0)
 
@@ -126,13 +133,15 @@ def eval_pfq(
     newest diagonal entry T differs from the previous one by at most
     max(tol * |T|, rounding floor of the table) (EXTRAPOLATED).  There tol is
     a relative tolerance on that change, the value is T, and abs_err_est is
-    four times the change plus the rounding floor.  The terms of each segment
-    are computed as arrays, with the same values as one at a time.
+    four times the change plus the rounding floor.  The terms are computed as
+    arrays, with the same values as one at a time, and each partial sum is
+    rounded once (math.fsum per segment), not once per term.
 
     Raises ValueError unless max_terms >= 1 and 0 < tol < inf, DomainError
-    for a non-finite parameter or z, and
+    for a non-finite parameter or z,
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
-    spec cannot be summed at all.
+    spec cannot be summed at all, and OverflowError when a term (or, on the
+    unit circle, a partial sum) overflows.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
@@ -225,79 +234,120 @@ def eval_pfq(
 def _extrapolate_on_circle(
     spec: PFQSpec, margin: float, max_terms: int, tol: float
 ) -> EvalResult:
-    """Sum a series on the unit circle in segments and extrapolate at each end.
-
-    Segment i holds the terms that bring the partial sum to N = 16 * 2^i terms
-    (or to max_terms).  Its factors z (a+k)... / ((k+1) (b+k)...) are formed as
-    arrays in the per-term recurrence's order, and its terms by a sequential
-    product seeded with the previous term, so every term is bitwise the one
-    that recurrence gives.  The Kahan sum of the terms stays a scalar loop.
-    """
-    z = spec.z
-    total = 1.0  # k = 0 term
-    comp = 0.0  # Kahan compensation
-    abs_sum = 1.0
-    term = 1.0
-    k = 0
-    next_n = RICHARDSON_FIRST_N
-    sigma = margin + (0.0 if z > 0.0 else 1.0)
+    """Extrapolate the unit-circle partial sums at N = 16 * 2^i terms."""
+    sigma = margin + (0.0 if spec.z > 0.0 else 1.0)
     row: list[float] = []  # the newest row of the Richardson table
     divisors: list[float] = []  # 2^sigma_j - 1
     amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
-    while True:
-        stop = min(next_n - 1, max_terms)
-        ks = np.arange(k, stop, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = z / (ks + 1.0)
-            for a in spec.upper:
-                terms *= a + ks
-            for b in spec.lower:
-                terms /= b + ks
-            terms[0] *= term
-            np.multiply.accumulate(terms, out=terms)
-            # A sequential running sum (not numpy's pairwise one), seeded like
-            # the product: bitwise abs_sum += |t| term by term.
-            magnitudes = np.abs(terms)
-            magnitudes[0] += abs_sum
-            np.add.accumulate(magnitudes, out=magnitudes)
-        segment = terms.tolist()
-        term = segment[-1]
-        # A non-finite term stays non-finite through the product, so the last
-        # one tells whether any overflowed.
-        if not math.isfinite(term):
-            raise OverflowError("series term overflowed to non-finite value")
-        k = stop
-        for t in segment:
-            # Kahan-compensated accumulation
-            y = t - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        abs_sum = magnitudes[-1].item()
-        # Neither stop of the per-term loop applies here, so every segment
-        # runs to its end, and one that ends at max_terms is the cap.
-        if stop == max_terms:
-            return EvalResult(
-                value=total,
-                abs_err_est=abs(term) * k + _EPS * abs_sum,
-                terms_used=k,
-                status=Status.MAX_TERMS_REACHED,
-            )
-        # total holds the first N = next_n terms: one more row of the table.
+    for n, total, abs_sum, term in _circle_partial_sums(spec, max_terms):
+        # Neither stop of the per-term loop applies here, so the sum runs to
+        # the next checkpoint, and one that ends at max_terms is the cap.
+        if n > max_terms:
+            break
+        # total holds the first n terms: one more row of the table.
         prev_row, row = row, [total]
         for j, prev in enumerate(prev_row):
             row.append(row[j] + (row[j] - prev) / divisors[j])
         if len(row) >= RICHARDSON_MIN_LEVELS:
             delta = abs(row[-1] - prev_row[-1])
-            noise = RICHARDSON_NOISE * _EPS * math.sqrt(next_n) * abs_sum * amplification
+            noise = RICHARDSON_NOISE * _EPS * math.sqrt(n) * abs_sum * amplification
             if delta <= max(tol * abs(row[-1]), noise):
                 return EvalResult(
                     value=row[-1],
                     abs_err_est=RICHARDSON_SAFETY * delta + noise,
-                    terms_used=k,
+                    terms_used=n - 1,
                     status=Status.EXTRAPOLATED,
                 )
         # Past 2^64 a correction is below rounding; the cap keeps it finite.
         divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
         amplification *= 1.0 + 2.0 / divisors[-1]
-        next_n *= 2
+    return EvalResult(
+        value=total,
+        abs_err_est=abs(term) * max_terms + _EPS * abs_sum,
+        terms_used=max_terms,
+        status=Status.MAX_TERMS_REACHED,
+    )
+
+
+def _circle_partial_sums(
+    spec: PFQSpec, max_terms: int
+) -> Iterator[tuple[int, float, float, float]]:
+    """Yield (N, S_N, sum |t_k|, t_{N-1}) over the first N terms of a unit-circle series.
+
+    N runs over N = 16 * 2^i and ends at the cap N = max_terms + 1.  The terms
+    are formed in passes that end at N = 256, 1024, 4096, ... (or at the cap).
+    A pass forms the factors z (a+k)... / ((k+1) (b+k)...) as arrays in the
+    per-term recurrence's order and the terms by a sequential product seeded
+    with the previous term, so every term is bitwise the one that recurrence
+    gives; sum |t_k| is a sequential running sum, bitwise the scalar one.
+    The terms between two checkpoints are summed by math.fsum, together with
+    the rounding error of that sum, and added to the running sum, which is
+    carried as a TwoSum pair (hi, lo) with S_N = hi = fl(hi + lo): the
+    correctly rounded partial sum, up to errors of order eps^2 * sum |t_k|.
+
+    A pass forms terms past the point where its caller may stop, so its NumPy
+    operations neither warn nor raise.  A non-finite term stays non-finite
+    through the product, so OverflowError is raised at the first checkpoint
+    whose last term is not finite, exactly when the per-term recurrence would
+    have met an overflowed term.  A partial sum that overflows with finite
+    terms raises OverflowError too (from math.fsum or the check on hi).
+    """
+    z = spec.z
+    hi, lo = 1.0, 0.0  # sum of the terms t_0 ... t_{summed - 1}
+    summed = 1
+    abs_sum = 1.0
+    term = 1.0
+    k = 0  # index of the last term formed
+    n = RICHARDSON_FIRST_N
+    pass_end = CIRCLE_FIRST_PASS_N
+    while True:
+        stop = min(pass_end - 1, max_terms)
+        ks = np.arange(k, stop, dtype=float)
+        terms = np.empty(stop - k + 1)  # terms[i] is t_{k + i}
+        terms[0] = term
+        factors = terms[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(z, ks + 1.0, out=factors)
+            for a in spec.upper:
+                factors *= a + ks
+            for b in spec.lower:
+                factors /= b + ks
+            np.multiply.accumulate(terms, out=terms)
+            magnitudes = np.abs(terms)
+            magnitudes[0] = abs_sum
+            np.add.accumulate(magnitudes, out=magnitudes)
+        ends = []
+        while n <= stop + 1:
+            ends.append(n)
+            n *= 2
+        if stop == max_terms and stop + 1 not in ends:
+            ends.append(stop + 1)
+        for end in ends:
+            term = terms[end - 1 - k].item()
+            if not math.isfinite(term):
+                raise OverflowError("series term overflowed to non-finite value")
+            # math.fsum rounds the segment's sum correctly, and a second fsum
+            # gives what that rounding dropped: part + rest is the segment's
+            # sum to within eps^2 * |part|.
+            segment = terms[summed - k : end - k].tolist()
+            part = math.fsum(segment)
+            segment.append(-part)
+            rest = math.fsum(segment)
+            hi, err = _two_sum(hi, part)
+            hi, lo = _two_sum(hi, lo + err + rest)
+            if not math.isfinite(hi):
+                raise OverflowError("partial sum overflowed to non-finite value")
+            summed = end
+            yield end, hi, magnitudes[end - 1 - k].item(), term
+        if stop == max_terms:
+            return
+        abs_sum = magnitudes[-1].item()
+        k = stop
+        pass_end *= CIRCLE_PASS_GROWTH
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)

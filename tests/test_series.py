@@ -24,6 +24,7 @@ from hyperreduce.series import (
     EvalResult,
     PFQSpec,
     Status,
+    _circle_partial_sums,
     eval_pfq,
     terminating_order,
     unity_margin,
@@ -293,19 +294,18 @@ def test_large_margin_at_unity():
     assert abs(res.value - 1999.0 / 1998.0) <= res.abs_err_est <= 1e-13
 
 
-def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
-    """The unit-circle sum of eval_pfq computed one term at a time.
+def _per_term_partial_sums(spec, max_terms):
+    """The checkpoints of the unit-circle sum, computed one term at a time.
 
-    The reference for the segment-at-a-time sum: the same recurrence, Kahan
-    sum, Richardson table, stop rule and estimates, with each term formed
-    as term *= z (a+k)... / ((k+1) (b+k)...).
+    Yields (N, Kahan S_N, exactly rounded S_N, sum |t_k|, t_{N-1}) at
+    N = 16 * 2^i and at the cap N = max_terms + 1, with each term formed as
+    term *= z (a+k)... / ((k+1) (b+k)...) and summed by Kahan's compensated
+    loop; the exactly rounded S_N is math.fsum of all terms so far.
     """
     z = spec.z
+    terms = [1.0]
     total, comp, abs_sum, term, k = 1.0, 0.0, 1.0, 1.0, 0
-    eps = math.ulp(1.0)
     next_n = RICHARDSON_FIRST_N
-    sigma = unity_margin(spec) + (0.0 if z > 0.0 else 1.0)
-    row, divisors, amplification = [], [], 1.0
     while True:
         stop = min(next_n - 1, max_terms)
         while k < stop:
@@ -318,30 +318,57 @@ def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
             if not math.isfinite(term):
                 raise OverflowError("series term overflowed to non-finite value")
             k += 1
+            terms.append(term)
             y = term - comp
             t = total + y
             comp = (t - total) - y
             total = t
             abs_sum += abs(term)
+        yield k + 1, total, math.fsum(terms), abs_sum, term
         if stop == max_terms:
+            return
+        next_n *= 2
+
+
+def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
+    """The unit-circle sum of eval_pfq over the per-term Kahan partial sums.
+
+    The reference for the pass-at-a-time sum: the same Richardson table, stop
+    rule and estimates, written out again.
+    """
+    eps = math.ulp(1.0)
+    z = spec.z
+    sigma = unity_margin(spec) + (0.0 if z > 0.0 else 1.0)
+    row, divisors, amplification = [], [], 1.0
+    for n, total, _, abs_sum, term in _per_term_partial_sums(spec, max_terms):
+        k = n - 1
+        if k == max_terms:
             return EvalResult(total, abs(term) * k + eps * abs_sum, k, Status.MAX_TERMS_REACHED)
         prev_row, row = row, [total]
         for j, prev in enumerate(prev_row):
             row.append(row[j] + (row[j] - prev) / divisors[j])
         if len(row) >= RICHARDSON_MIN_LEVELS:
             delta = abs(row[-1] - prev_row[-1])
-            noise = RICHARDSON_NOISE * eps * math.sqrt(next_n) * abs_sum * amplification
+            noise = RICHARDSON_NOISE * eps * math.sqrt(n) * abs_sum * amplification
             if delta <= max(tol * abs(row[-1]), noise):
                 return EvalResult(
                     row[-1], RICHARDSON_SAFETY * delta + noise, k, Status.EXTRAPOLATED
                 )
         divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
         amplification *= 1.0 + 2.0 / divisors[-1]
-        next_n *= 2
 
 
-def _bits(res):
-    return (res.value.hex(), res.abs_err_est.hex(), res.terms_used, res.status)
+def _checkpoints(partial_sums, last_n):
+    """The checkpoints up to N = last_n, ending in OverflowError if one raised it."""
+    out = []
+    try:
+        for checkpoint in partial_sums:
+            out.append(checkpoint)
+            if checkpoint[0] >= last_n:
+                break
+    except OverflowError:
+        out.append(OverflowError)
+    return out
 
 
 # pFq with p in {2, 3, 4} on the unit circle: p upper parameters in [-2.5, 3],
@@ -355,6 +382,11 @@ _circle_spec = st.integers(2, 4).flatmap(
     )
 )
 
+# Kahan's bound on the error of a compensated sum, 2u sum |t_k| with the unit
+# roundoff u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., section 4.3), dropping its O(N u^2) term.
+_KAHAN_BOUND = 2.0 * 2.0**-53
+
 
 @settings(
     max_examples=150,
@@ -366,23 +398,73 @@ _circle_spec = st.integers(2, 4).flatmap(
 @given(
     drawn=_circle_spec,
     tol=st.sampled_from([1e-15, 1e-11, 1e-6]),
-    max_terms=st.sampled_from([1, 15, 16, 17, 37, 1000, None]),
+    # 255/256/257, 1023/1024 and 4097 sit at the ends of the first passes.
+    max_terms=st.sampled_from(
+        [1, 15, 16, 17, 37, 255, 256, 257, 1000, 1023, 1024, 4097, DEFAULT_MAX_TERMS]
+    ),
 )
 def test_segments_match_per_term_sum(drawn, tol, max_terms):
+    # The terms and sum |t_k| are bitwise the per-term recurrence's at every
+    # checkpoint, each partial sum is within Kahan's bound of the exactly
+    # rounded one, and the stop (terms_used, status) is the per-term one.
     upper, lower, s, z = drawn
     lower = lower + [sum(upper) - sum(lower) + s]
     assume(not any(map(_is_pole, upper + lower)))
     spec = PFQSpec(upper, lower, z)
     assert unity_margin(spec) == s
-    cap = {} if max_terms is None else {"max_terms": max_terms}
-    assert _bits(eval_pfq(spec, tol=tol, **cap)) == _bits(
-        _per_term_on_circle(spec, tol=tol, **cap)
-    )
+    try:
+        ref = _per_term_on_circle(spec, max_terms=max_terms, tol=tol)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            eval_pfq(spec, max_terms=max_terms, tol=tol)
+        last_n = max_terms + 1
+    else:
+        res = eval_pfq(spec, max_terms=max_terms, tol=tol)
+        assert (res.terms_used, res.status) == (ref.terms_used, ref.status)
+        if ref.status is Status.EXTRAPOLATED:
+            assert abs(res.value - ref.value) <= ref.abs_err_est
+        else:  # at the cap the estimate depends only on the last term and sum |t_k|
+            assert res.abs_err_est == ref.abs_err_est
+        last_n = ref.terms_used + 1
+    new = _checkpoints(_circle_partial_sums(spec, max_terms), last_n)
+    old = _checkpoints(_per_term_partial_sums(spec, max_terms), last_n)
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        if want is OverflowError:
+            assert got is OverflowError
+            continue
+        n, partial, abs_sum, term = got
+        n_ref, _, exact, abs_ref, term_ref = want
+        assert (n, abs_sum.hex(), term.hex()) == (n_ref, abs_ref.hex(), term_ref.hex())
+        assert abs(partial - exact) <= _KAHAN_BOUND * abs_ref
 
 
 def test_overflow_on_circle_raises_without_warning():
-    # The terms grow like 500^k at first and overflow inside the first segment.
+    # The terms grow like 500^k at first and overflow at term 605.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError):
             eval_pfq(PFQSpec([1000, 1000], [2001.5], 1.0))
+
+
+def test_overflow_in_later_pass_raises_without_warning():
+    # The terms grow like 750^k at first and overflow at term 390: the first
+    # pass (terms up to 255) is finite, and the second one holds the overflow.
+    spec = PFQSpec([1500, 1500], [3001.5], 1.0)
+    per_term = _checkpoints(_per_term_partial_sums(spec, DEFAULT_MAX_TERMS), math.inf)
+    assert [c if c is OverflowError else c[0] for c in per_term[-2:]] == [256, OverflowError]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            eval_pfq(spec)
+
+
+@pytest.mark.parametrize("a", [517.755, 518.0])
+def test_overflow_of_partial_sum_on_circle_raises(a):
+    # Every term stays finite, but the partial sum passes the double range
+    # between two checkpoints (517.755) or inside a segment (518); summed term
+    # by term the value came out NaN with status MaxTermsReached.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            eval_pfq(PFQSpec([a, a], [2.0 * a + 1.5], 1.0))

@@ -130,11 +130,13 @@ def test_summary_matches_results():
 # Hash of the deterministic report (summary without timing, plus JSONL) at
 # 30 cases per entry.  A refactor must leave both unchanged; a change that
 # alters a reported number must say so and update them on purpose.  Last
-# changed by the Richardson extrapolation at z = 1: only the lhs, rel_err and
-# worst_rel_err of the six z = 1 entries moved, and no |lhs - rhs| grew.
+# changed by the correctly rounded partial sums at z = 1 (math.fsum per
+# segment instead of Kahan's sum): only the lhs and rel_err of 22 (seed 0) and
+# 21 (seed 1) of the 180 z = 1 rows moved, by at most 2e-10 relative, and with
+# them the worst_rel_err of 4 and 3 z = 1 entries; no verdict changed.
 GOLDEN_REPORT_SHA256 = {
-    0: "4b3483e6b710dd23fa4c3acc1e3de8cd83ffbee1591b58aba4157253cc1d2471",
-    1: "64beeb186a9fe851f0c8916a5a1e2c0a1b34c29aa2a4e6a37abf6e4cbab37100",
+    0: "5f1e35bc85b9cf57a92cf0723d39305973580c914b5c69c1512a70ccc9791451",
+    1: "b6aaeb318f95b0be4866b08fd7e0c7e8572c6255dd79bd384c28e407c096f943",
 }
 
 
