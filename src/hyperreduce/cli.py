@@ -82,10 +82,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HyperreduceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OverflowError as exc:
+    except (HyperreduceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print("value       = " + _MACHINE_FMT.format(result.value))

@@ -227,9 +227,9 @@ def f43_unity_nm_rhs(a: float, b: float, c: float, n: int, m: int) -> tuple[floa
 
 
 def f01_bessel_rhs(b: float, z: float) -> tuple[float, float]:
-    """0F1(;b;z) = z^((1-b)/2) Gamma(b) I_{b-1}(2 sqrt(z)), z > 0."""
-    value = z ** ((1.0 - b) / 2.0) * gamma_fn(b) * bessel_i(b - 1.0, 2.0 * math.sqrt(z))
-    return value, abs(value)
+    """0F1(;b;z) = z^((1-b)/2) Gamma(b) I_{b-1}(2 sqrt(z)), z > 0: the n = 0
+    case of f12_bessel_i_rhs, where c only enters as (c)_0 = 1."""
+    return f12_bessel_i_rhs(b, 1.0, 0, z)
 
 
 def _f12_bessel(b: float, c: float, n: int, z: float, modified: bool) -> tuple[float, float]:
@@ -294,9 +294,9 @@ def f23_bessel_j_rhs(
 
 
 def f11_inc_gamma_rhs(a: float, z: float) -> tuple[float, float]:
-    """1F1(a; a+1; -z) = a z^{-a} gamma_lower(a, z), z > 0."""
-    value = a * z ** (-a) * lower_incomplete_gamma(a, z)
-    return value, abs(value)
+    """1F1(a; a+1; -z) = a z^{-a} gamma_lower(a, z), z > 0: the n = 0 case of
+    f22_inc_gamma_rhs, where c only enters as (c)_0 = 1."""
+    return f22_inc_gamma_rhs(a, 1.0, 0, z)
 
 
 def f22_inc_gamma_rhs(a: float, c: float, n: int, z: float) -> tuple[float, float]:
@@ -355,27 +355,17 @@ def f33_laguerre_rhs(
 
 def m1m_inc_beta_rhs(a_list: Sequence[float], b: float, z: float) -> tuple[float, float]:
     """(m+1)Fm(b, a_1..a_m; a_1+1..a_m+1; z) as a partial-fraction sum of
-    incomplete beta values, pairwise-distinct a's."""
-    pre = _product(a_list)
-    acc = _partial_fraction_sum(
-        a_list, lambda al: z ** (-al) * incomplete_beta(z, al, 1.0 - b)
-    )
-    return pre * acc.total, abs(pre) * acc.magnitude
+    incomplete beta values, pairwise-distinct a's: the n = m = 0 case of
+    pp3_inc_beta_rhs, where c and d only enter as (c)_0 = (d)_0 = 1."""
+    return pp3_inc_beta_rhs(a_list, b, 1.0, 1.0, 0, 0, z)
 
 
 def pp2_inc_beta_rhs(
     a_list: Sequence[float], b: float, c: float, n: int, z: float
 ) -> tuple[float, float]:
-    """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; z) via incomplete betas."""
-    pre = _product(a_list)
-    total = _Acc()
-    for k in range(n + 1):
-        coef = binomial(n, k) * pochhammer(b, k) / pochhammer(c, k)
-        inner = _partial_fraction_sum(
-            a_list, lambda al, k=k: z ** (-al) * incomplete_beta(z, al + k, 1.0 - b - k)
-        )
-        total.add_scaled(coef, inner)
-    return pre * total.total, abs(pre) * total.magnitude
+    """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; z) via incomplete betas:
+    the m = 0 case of pp3_inc_beta_rhs, where d only enters as (d)_0 = 1."""
+    return pp3_inc_beta_rhs(a_list, b, c, 1.0, n, 0, z)
 
 
 def pp2_literature_rhs(
@@ -403,12 +393,9 @@ def f21_contiguous_rhs(b: float, c: float, n: int, z: float) -> tuple[float, flo
 def pp2_unity_rhs(
     a_list: Sequence[float], b: float, c: float, n: int
 ) -> tuple[float, float]:
-    """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; 1) as a beta-function sum."""
-    pre = _product(a_list) / pochhammer(c, n)
-    acc = _partial_fraction_sum(
-        a_list, lambda al: pochhammer(c - al, n) * complete_beta(al, 1.0 - b)
-    )
-    return pre * acc.total, abs(pre) * acc.magnitude
+    """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; 1) as a beta-function sum:
+    the m = 0 case of pp3_unity_rhs, where d only enters as (d)_0 = 1."""
+    return pp3_unity_rhs(a_list, b, c, 1.0, n, 0)
 
 
 def pp3_h_rhs(

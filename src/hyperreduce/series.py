@@ -13,9 +13,9 @@ extrapolated instead by Richardson's rule with the exponents the remainder is
 known to have: S - S_N is a series in N^-sigma_j with sigma_j = s + j at
 z = +1 and sigma_j = s + 1 + j at z = -1 (N is even, so the alternating
 remainder keeps its sign).  There no Python loop runs over single terms: they
-are formed as NumPy arrays a few levels at a time, bitwise equal to the
-term-by-term recurrence, and each S_N is the correctly rounded partial sum,
-from math.fsum over the terms between two such N and a TwoSum carry.
+are formed as NumPy arrays, up to N = 256 in the first pass and one level per
+pass after it, bitwise equal to the term-by-term recurrence, and each S_N is
+math.fsum over the first N terms, the correctly rounded partial sum.
 """
 
 from __future__ import annotations
@@ -56,11 +56,9 @@ RICHARDSON_MIN_LEVELS = 3
 RICHARDSON_NOISE = 2.0
 RICHARDSON_SAFETY = 4.0
 
-# The unit-circle terms are formed in passes of several Richardson levels: the
-# first ends at CIRCLE_FIRST_PASS_N terms, each later one CIRCLE_PASS_GROWTH
-# times further out.
+# The unit-circle terms are formed in passes: the first covers the Richardson
+# levels up to CIRCLE_FIRST_PASS_N terms, each later one the next level.
 CIRCLE_FIRST_PASS_N = 256
-CIRCLE_PASS_GROWTH = 4
 
 _EPS = math.ulp(1.0)
 
@@ -94,14 +92,9 @@ class EvalResult:
     status: Status
 
 
-def _nonpositive_integer_index(x: float) -> int | None:
-    """If x is (within snap of) a non-positive integer -m, return m, else None."""
-    if x > 0.5:
-        return None
-    m = round(x)
-    if m <= 0 and abs(x - m) <= INTEGER_SNAP:
-        return -m
-    return None
+def is_nonpositive_integer(x: float) -> bool:
+    """Whether x is within INTEGER_SNAP of 0, -1, -2, ...; False for NaN."""
+    return x < 0.5 and abs(x - round(x)) <= INTEGER_SNAP
 
 
 def unity_margin(spec: PFQSpec) -> float:
@@ -111,7 +104,7 @@ def unity_margin(spec: PFQSpec) -> float:
 
 def terminating_order(spec: PFQSpec) -> int | None:
     """Smallest m with some upper parameter equal to -m, or None."""
-    orders = [m for a in spec.upper if (m := _nonpositive_integer_index(a)) is not None]
+    orders = [-round(a) for a in spec.upper if is_nonpositive_integer(a)]
     return min(orders) if orders else None
 
 
@@ -135,13 +128,14 @@ def eval_pfq(
     a relative tolerance on that change, the value is T, and abs_err_est is
     four times the change plus the rounding floor.  The terms are computed as
     arrays, with the same values as one at a time, and each partial sum is
-    rounded once (math.fsum per segment), not once per term.
+    rounded once (math.fsum over its terms), not once per term.
 
     Raises ValueError unless max_terms >= 1 and 0 < tol < inf, DomainError
     for a non-finite parameter or z,
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
-    spec cannot be summed at all, and OverflowError when a term (or, on the
-    unit circle, a partial sum) overflows.
+    spec cannot be summed at all, and OverflowError when a term overflows or,
+    on the unit circle, when a partial sum, the extrapolated value or its
+    rounding floor does.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
@@ -156,8 +150,7 @@ def eval_pfq(
     # A lower parameter at a non-positive integer -m poisons the term at
     # index m+1; it is only tolerable if the series terminates strictly first.
     for b in spec.lower:
-        m = _nonpositive_integer_index(b)
-        if m is not None and (n_stop is None or m + 1 <= n_stop):
+        if is_nonpositive_integer(b) and (n_stop is None or 1 - round(b) <= n_stop):
             raise LowerPoleError(
                 f"lower parameter {b} hits a pole before the series terminates"
             )
@@ -252,6 +245,8 @@ def _extrapolate_on_circle(
             delta = abs(row[-1] - prev_row[-1])
             noise = RICHARDSON_NOISE * _EPS * math.sqrt(n) * abs_sum * amplification
             if delta <= max(tol * abs(row[-1]), noise):
+                if not (math.isfinite(row[-1]) and math.isfinite(noise)):
+                    raise OverflowError("extrapolated sum overflowed to non-finite value")
                 return EvalResult(
                     value=row[-1],
                     abs_err_est=RICHARDSON_SAFETY * delta + noise,
@@ -275,33 +270,29 @@ def _circle_partial_sums(
     """Yield (N, S_N, sum |t_k|, t_{N-1}) over the first N terms of a unit-circle series.
 
     N runs over N = 16 * 2^i and ends at the cap N = max_terms + 1.  The terms
-    are formed in passes that end at N = 256, 1024, 4096, ... (or at the cap).
-    A pass forms the factors z (a+k)... / ((k+1) (b+k)...) as arrays in the
-    per-term recurrence's order and the terms by a sequential product seeded
-    with the previous term, so every term is bitwise the one that recurrence
-    gives; sum |t_k| is a sequential running sum, bitwise the scalar one.
-    The terms between two checkpoints are summed by math.fsum, together with
-    the rounding error of that sum, and added to the running sum, which is
-    carried as a TwoSum pair (hi, lo) with S_N = hi = fl(hi + lo): the
-    correctly rounded partial sum, up to errors of order eps^2 * sum |t_k|.
+    are formed in passes: the first ends at N = 256, each later one at the next
+    N (or at the cap).  A pass forms the factors z (a+k)... / ((k+1) (b+k)...)
+    as arrays in the per-term recurrence's order and the terms by a sequential
+    product seeded with the previous term, so every term is bitwise the one
+    that recurrence gives; sum |t_k| is a sequential running sum, bitwise the
+    scalar one.  S_N is math.fsum over all N terms kept so far: the correctly
+    rounded partial sum.
 
-    A pass forms terms past the point where its caller may stop, so its NumPy
-    operations neither warn nor raise.  A non-finite term stays non-finite
-    through the product, so OverflowError is raised at the first checkpoint
-    whose last term is not finite, exactly when the per-term recurrence would
-    have met an overflowed term.  A partial sum that overflows with finite
-    terms raises OverflowError too (from math.fsum or the check on hi).
+    The first pass forms terms past the point where its caller may stop, so
+    its NumPy operations neither warn nor raise.  A non-finite term stays
+    non-finite through the product, so OverflowError is raised at the first
+    checkpoint whose last term is not finite, exactly when the per-term
+    recurrence would have met an overflowed term.  A partial sum that
+    overflows with finite terms raises OverflowError from math.fsum.
     """
     z = spec.z
-    hi, lo = 1.0, 0.0  # sum of the terms t_0 ... t_{summed - 1}
-    summed = 1
+    kept = [1.0]  # the terms t_0 ... t_{N-1} summed so far
     abs_sum = 1.0
     term = 1.0
     k = 0  # index of the last term formed
     n = RICHARDSON_FIRST_N
-    pass_end = CIRCLE_FIRST_PASS_N
     while True:
-        stop = min(pass_end - 1, max_terms)
+        stop = min(max(n, CIRCLE_FIRST_PASS_N) - 1, max_terms)
         ks = np.arange(k, stop, dtype=float)
         terms = np.empty(stop - k + 1)  # terms[i] is t_{k + i}
         terms[0] = term
@@ -326,28 +317,9 @@ def _circle_partial_sums(
             term = terms[end - 1 - k].item()
             if not math.isfinite(term):
                 raise OverflowError("series term overflowed to non-finite value")
-            # math.fsum rounds the segment's sum correctly, and a second fsum
-            # gives what that rounding dropped: part + rest is the segment's
-            # sum to within eps^2 * |part|.
-            segment = terms[summed - k : end - k].tolist()
-            part = math.fsum(segment)
-            segment.append(-part)
-            rest = math.fsum(segment)
-            hi, err = _two_sum(hi, part)
-            hi, lo = _two_sum(hi, lo + err + rest)
-            if not math.isfinite(hi):
-                raise OverflowError("partial sum overflowed to non-finite value")
-            summed = end
-            yield end, hi, magnitudes[end - 1 - k].item(), term
+            kept += terms[len(kept) - k : end - k].tolist()
+            yield end, math.fsum(kept), magnitudes[end - 1 - k].item(), term
         if stop == max_terms:
             return
         abs_sum = magnitudes[-1].item()
         k = stop
-        pass_end *= CIRCLE_PASS_GROWTH
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)

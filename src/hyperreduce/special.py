@@ -13,9 +13,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PoleError
-from .series import PFQSpec, eval_pfq
-
-POLE_SNAP = 1e-12
+from .series import PFQSpec, eval_pfq, is_nonpositive_integer
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -47,10 +45,6 @@ _DIGAMMA_ASYMPTOTIC = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
-
-
-def is_nonpositive_integer(x: float, snap: float = POLE_SNAP) -> bool:
-    return x < 0.5 and abs(x - round(x)) <= snap
 
 
 def _check_pole(x: float) -> None:

@@ -51,6 +51,13 @@ def test_gamma_pole_raises():
             gamma_fn(x)
 
 
+def test_nan_is_not_a_pole():
+    # round(nan) raises, so the pole test must decide NaN before rounding.
+    assert not is_nonpositive_integer(math.nan)
+    assert math.isnan(ln_gamma(math.nan)[0])
+    assert math.isnan(digamma(math.nan))
+
+
 def test_ln_gamma_sign():
     # Gamma alternates sign between consecutive negative integers.
     assert ln_gamma(-0.5)[1] == -1
