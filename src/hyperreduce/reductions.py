@@ -505,7 +505,8 @@ def _pair_sum(
     """sum_{k<=n} C(n,k) z^k prod (a)_k / ((den)_k prod (b)_k) times
     F(upper+k, pair[0]+k; lower+k, pair[1]+k; z), the loop shared by
     expand_main (pair adjoined, den = c+n) and reduce_corollary (no pair,
-    den = c)."""
+    den = c).  The status is MaxTermsReached when an inner series stopped
+    at its cap, Converged otherwise."""
     if n < 0:
         raise DomainError("n must be non-negative")
     inner_upper = tuple(upper) + pair[0]
@@ -514,6 +515,7 @@ def _pair_sum(
     mag = 0.0
     err = 0.0
     terms = 0
+    status = Status.CONVERGED
     for k in range(n + 1):
         coef = binomial(n, k) * z**k / pochhammer(den, k)
         for a in upper:
@@ -531,7 +533,9 @@ def _pair_sum(
         mag += abs(coef * inner.value)
         err += abs(coef) * inner.abs_err_est
         terms += inner.terms_used
-    return EvalResult(total, err + _EPS * mag, terms, Status.CONVERGED)
+        if inner.status is Status.MAX_TERMS_REACHED:
+            status = Status.MAX_TERMS_REACHED
+    return EvalResult(total, err + _EPS * mag, terms, status)
 
 
 def expand_main(spec: PFQSpec, c: float, n: int) -> EvalResult:

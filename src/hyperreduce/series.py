@@ -168,24 +168,24 @@ def eval_pfq(
                 raise NonConvergentAtUnityError(f"convergence margin {margin:g} <= 0 at |z| = 1")
             return _extrapolate_on_circle(spec, margin, max_terms, tol)
 
+    # The loop stops at n_stop only when the series terminates within the cap.
+    if n_stop is not None and n_stop < max_terms:
+        limit, status = n_stop, Status.TERMINATED
+    else:
+        limit, status = max_terms, Status.MAX_TERMS_REACHED
     total = 1.0  # k = 0 term
     comp = 0.0  # Kahan compensation
     abs_sum = 1.0
-    term = 1.0
-    prev_abs = 1.0
-    ratio = 0.0
+    term = prev = 1.0
     streak = 0
     k = 0
-    status = Status.MAX_TERMS_REACHED
-    while k < max_terms:
-        if n_stop is not None and k >= n_stop:
-            status = Status.TERMINATED
-            break
+    while k < limit:
         factor = z / (k + 1)
         for a in spec.upper:
             factor *= a + k
         for b in spec.lower:
             factor /= b + k
+        prev = term
         term *= factor
         if not math.isfinite(term):
             raise OverflowError("series term overflowed to non-finite value")
@@ -195,11 +195,8 @@ def eval_pfq(
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_term = abs(term)
-        abs_sum += abs_term
-        ratio = abs_term / prev_abs if prev_abs > 0.0 else 0.0
-        prev_abs = abs_term if abs_term > 0.0 else prev_abs
-        if abs_term <= tol * abs(total):
+        abs_sum += abs(term)
+        if abs(term) <= tol * abs(total):
             streak += 1
             if streak >= SMALL_TERM_STREAK:
                 status = Status.CONVERGED
@@ -211,9 +208,11 @@ def eval_pfq(
     if status is Status.TERMINATED:
         err = rounding
     elif status is Status.CONVERGED:
-        # Geometric tail bound from the observed ratio; for slowly decaying
-        # (algebraic) tails the ratio is near 1 and the bound inflates, which
-        # is the conservative direction.
+        # Geometric tail bound from the last ratio |t_k / t_{k-1}|; for slowly
+        # decaying (algebraic) tails the ratio is near 1 and the bound
+        # inflates, which is the conservative direction.  A zero t_{k-1}
+        # makes t_k zero too, and the ratio 0.
+        ratio = abs(term) / abs(prev) if prev != 0.0 else 0.0
         if ratio < 0.999999:
             tail = abs(term) * ratio / (1.0 - ratio)
         else:

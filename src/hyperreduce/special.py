@@ -179,7 +179,8 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
 
 def lower_incomplete_gamma(a: float, z: float) -> float:
     """Lower incomplete gamma via the stable ascending series
-    z^a e^{-z} sum_k z^k / (a)_{k+1}."""
+    z^a e^{-z} sum_k z^k / (a)_{k+1}; raises OverflowError once the sum
+    overflows, near z = 709."""
     if a <= 0.0:
         raise DomainError(f"incomplete gamma requires a > 0, got a = {a}")
     if z < 0.0:
@@ -195,6 +196,8 @@ def lower_incomplete_gamma(a: float, z: float) -> float:
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
+    if not math.isfinite(total):
+        raise OverflowError(f"incomplete gamma series overflows at z = {z}")
     return z**a * math.exp(-z) * total
 
 

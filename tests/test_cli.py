@@ -170,3 +170,26 @@ def test_unknown_flag_rejected():
 def test_non_finite_input_exits_2(argv, capsys):
     assert run(argv) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_reduce_check_oracle_cap_exits_3(capsys):
+    # The oracle stops at its term cap this close to z = 1: verify skips the
+    # case, so the check blames neither side.
+    assert run(["reduce", "F21Contiguous", "--b", "0.5", "--c", "1", "--n", "0",
+                "--z", "0.999999", "--check"]) == 3
+    captured = capsys.readouterr()
+    assert "check" not in captured.out
+    assert "oracle" in captured.err
+
+
+def test_verify_unknown_id_fails_before_any_entry_runs(capsys):
+    assert run(["verify", "--only", "F01Bessel,NoSuchId", "--cases", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NoSuchId" in captured.err
+
+
+@pytest.mark.parametrize("z", ["720", "800"])
+def test_reduce_incomplete_gamma_overflow_exits_3(z, capsys):
+    assert run(["reduce", "F11IncGamma", "--a", "0.5", "--z", z]) == 3
+    assert capsys.readouterr().out == ""

@@ -27,7 +27,7 @@ from hyperreduce.reductions import (
     require_distinct,
     shifted_pfp_damped,
 )
-from hyperreduce.series import PFQSpec, eval_pfq
+from hyperreduce.series import PFQSpec, Status, eval_pfq
 from hyperreduce.special import bateman_g, complete_beta, pochhammer
 
 mp.mp.dps = 30
@@ -220,6 +220,15 @@ def test_reduce_corollary_examples():
     assert reduce_corollary(spec, 1.1, 0).value == pytest.approx(
         eval_pfq(PFQSpec([0.7], [1.9], 0.5)).value, rel=1e-13
     )
+
+
+def test_pair_sum_reports_inner_term_cap():
+    # Near z = 1 the inner series stop at their cap; the sum must say so.
+    res = expand_main(PFQSpec([0.5, 1.0], [1.5], 0.999999), 1.0, 1)
+    assert res.status is Status.MAX_TERMS_REACHED
+    res = reduce_corollary(PFQSpec([0.5, 1.0, 2.0], [1.5, 1.0], 0.999999), 1.0, 1)
+    assert res.status is Status.MAX_TERMS_REACHED
+    assert expand_main(PFQSpec([0.8], [1.7], 0.6), 1.2, 2).status is Status.CONVERGED
 
 
 def test_reduce_corollary_missing_pair():

@@ -160,6 +160,18 @@ def test_max_terms_reached():
         eval_pfq(PFQSpec([], [], 0.5), max_terms=0)
 
 
+def test_terminated_only_within_the_cap():
+    # (-5)_k vanishes from k = 6 on: the sum stops after forming t_1 ... t_5,
+    # and it has terminated only if the cap would have let it go on.
+    spec = PFQSpec([-5.0, 1.0], [2.0], 0.3)
+    res = eval_pfq(spec, max_terms=5)
+    assert (res.status, res.terms_used) == (Status.MAX_TERMS_REACHED, 5)
+    res = eval_pfq(spec, max_terms=6)
+    assert (res.status, res.terms_used) == (Status.TERMINATED, 5)
+    res = eval_pfq(PFQSpec([0.0], [], 0.3), max_terms=1)
+    assert (res.status, res.value, res.terms_used) == (Status.TERMINATED, 1.0, 0)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_tol_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError):

@@ -223,3 +223,13 @@ def test_off_poles():
     assert not off_poles([0.01])
     assert not off_poles([-2.02])
     assert off_poles([-2.5])
+
+
+def test_lower_incomplete_gamma_overflow_raises():
+    # The ascending series overflows past z ~ 709; below that it still holds.
+    assert lower_incomplete_gamma(0.5, 700.0) == pytest.approx(
+        scipy.special.gammainc(0.5, 700.0) * scipy.special.gamma(0.5), rel=1e-12
+    )
+    for z in (800.0, 1000.0):
+        with pytest.raises(OverflowError):
+            lower_incomplete_gamma(0.5, z)
