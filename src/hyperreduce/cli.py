@@ -156,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "summary": verifier.report_summary(report),
             "results": [verifier._result_row(r) for r in report.results],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload) + "\n"
     elif args.format == "csv":
         text = verifier.report_to_csv(report)
     else:

@@ -419,8 +419,18 @@ def pp3_inc_beta_rhs(
     a_list: Sequence[float], b: float, c: float, d: float, n: int, m: int, z: float
 ) -> tuple[float, float]:
     """Same left-hand side as pp3_h_rhs, written directly through incomplete
-    beta values (the simpler of the two equivalent forms)."""
+    beta values (the simpler of the two equivalent forms).  Each distinct
+    B_z(al + k + s, 1 - b - k - s) is evaluated once per call: the value
+    depends on k + s only, and the key is the pair of arguments as computed,
+    since (al + k) + s may round apart from al + (k + s)."""
     pre = _product(a_list) / pochhammer(d, m)
+    betas: dict[tuple[float, float], float] = {}
+
+    def beta(x: float, y: float) -> float:
+        if (x, y) not in betas:
+            betas[x, y] = incomplete_beta(z, x, y)
+        return betas[x, y]
+
     total = _Acc()
     for k in range(n + 1):
         outer = binomial(n, k) * pochhammer(b, k) / pochhammer(c, k)
@@ -433,8 +443,7 @@ def pp3_inc_beta_rhs(
             )
             inner = _partial_fraction_sum(
                 a_list,
-                lambda al, k=k, s=s: z ** (-al)
-                * incomplete_beta(z, al + k + s, 1.0 - b - k - s),
+                lambda al, k=k, s=s: z ** (-al) * beta(al + k + s, 1.0 - b - k - s),
             )
             total.add_scaled(coef, inner)
     return pre * total.total, abs(pre) * total.magnitude

@@ -4,7 +4,11 @@ This module is the ground-truth oracle of the package: it knows nothing about
 closed forms and evaluates sum_k  prod_i (a_i)_k z^k / [k! prod_j (b_j)_k]
 by the term recurrence t_{k+1} = t_k z prod_i (a_i + k) / [(k+1) prod_j (b_j + k)],
 with convergence policing and a tail-based error estimate.  Off the unit
-circle it sums term by term and stops on small terms.
+circle it sums term by term and stops on small terms.  That loop is generated
+once per shape (p, q), on first use: the parameters are unpacked into locals
+and each factor is one expression, in the order of the per-parameter
+recurrence, so no loop over the parameters runs per term and every term is
+bitwise the recurrence's.
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -21,6 +25,7 @@ math.fsum over the first N terms, the correctly rounded partial sum.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -117,7 +122,10 @@ def eval_pfq(
 
     Stops when the running term stays below tol * |partial sum| for three
     consecutive terms (CONVERGED), when an upper parameter terminates the
-    series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED).
+    series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED).  The
+    terms are summed by a loop generated for the shape (len(upper),
+    len(lower)) and cached (see _off_circle_loop); it forms each term
+    bitwise as the per-parameter recurrence does.
 
     On the unit circle (p = q + 1, |z| = 1, not terminating) the small-term
     rule does not apply.  The partial sums at N = 16 * 2^i terms feed a
@@ -173,36 +181,11 @@ def eval_pfq(
         limit, status = n_stop, Status.TERMINATED
     else:
         limit, status = max_terms, Status.MAX_TERMS_REACHED
-    total = 1.0  # k = 0 term
-    comp = 0.0  # Kahan compensation
-    abs_sum = 1.0
-    term = prev = 1.0
-    streak = 0
-    k = 0
-    while k < limit:
-        factor = z / (k + 1)
-        for a in spec.upper:
-            factor *= a + k
-        for b in spec.lower:
-            factor /= b + k
-        prev = term
-        term *= factor
-        if not math.isfinite(term):
-            raise OverflowError("series term overflowed to non-finite value")
-        k += 1
-        # Kahan-compensated accumulation
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_sum += abs(term)
-        if abs(term) <= tol * abs(total):
-            streak += 1
-            if streak >= SMALL_TERM_STREAK:
-                status = Status.CONVERGED
-                break
-        else:
-            streak = 0
+    total, abs_sum, term, prev, k, converged = _off_circle_loop(p, q)(
+        spec.upper, spec.lower, z, limit, tol
+    )
+    if converged:
+        status = Status.CONVERGED
 
     rounding = _EPS * abs_sum
     if status is Status.TERMINATED:
@@ -221,6 +204,67 @@ def eval_pfq(
     else:
         err = abs(term) * k + rounding
     return EvalResult(value=total, abs_err_est=err, terms_used=k, status=status)
+
+
+# The off-circle loop, written out for one shape (p, q).  Each term is
+# term *= z / (k + 1) * (u0 + k) * ... / (l0 + k) ..., left to right, which is
+# the order of the per-parameter recurrence, so every term is bitwise the one
+# that recurrence gives.
+_OFF_CIRCLE_SOURCE = """\
+def _sum(upper, lower, z, limit, tol):
+    ({uppers}) = upper
+    ({lowers}) = lower
+    total = 1.0  # k = 0 term
+    comp = 0.0  # Kahan compensation
+    abs_sum = 1.0
+    term = prev = 1.0
+    streak = 0
+    k = 0
+    while k < limit:
+        prev = term
+        term *= {factor}
+        if not isfinite(term):
+            raise OverflowError("series term overflowed to non-finite value")
+        k += 1
+        # Kahan-compensated accumulation
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_sum += abs(term)
+        if abs(term) <= tol * abs(total):
+            streak += 1
+            if streak >= SMALL_TERM_STREAK:
+                return total, abs_sum, term, prev, k, True
+        else:
+            streak = 0
+    return total, abs_sum, term, prev, k, False
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _off_circle_loop(p: int, q: int):
+    """The off-circle summation loop for p upper and q lower parameters.
+
+    Returns _sum(upper, lower, z, limit, tol) -> (total, abs_sum, term, prev,
+    k, converged): the Kahan sum of the terms t_0 ... t_k, sum |t_k|, the last
+    two terms, the number k of terms after t_0, and whether the small-term
+    rule stopped the sum.  The parameters are unpacked into locals u0 ...,
+    l0 ..., so no loop over them runs per term.  The source holds only names
+    built from p and q.
+    """
+    uppers = [f"u{i}" for i in range(p)]
+    lowers = [f"l{j}" for j in range(q)]
+    factor = "z / (k + 1)" + "".join(f" * ({u} + k)" for u in uppers)
+    factor += "".join(f" / ({b} + k)" for b in lowers)
+    source = _OFF_CIRCLE_SOURCE.format(
+        uppers="".join(f"{u}, " for u in uppers),
+        lowers="".join(f"{b}, " for b in lowers),
+        factor=factor,
+    )
+    namespace = {"isfinite": math.isfinite, "SMALL_TERM_STREAK": SMALL_TERM_STREAK}
+    exec(compile(source, f"<off-circle loop {p}F{q}>", "exec"), namespace)
+    return namespace["_sum"]
 
 
 def _extrapolate_on_circle(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from hyperreduce import ReductionRequest, lhs_spec, reduce, reductions
 from hyperreduce.errors import (
     DegenerateNodesError,
     DegenerateParametersError,
@@ -28,7 +29,7 @@ from hyperreduce.reductions import (
     shifted_pfp_damped,
 )
 from hyperreduce.series import PFQSpec, Status, eval_pfq
-from hyperreduce.special import bateman_g, complete_beta, pochhammer
+from hyperreduce.special import bateman_g, complete_beta, incomplete_beta, pochhammer
 
 mp.mp.dps = 30
 
@@ -305,3 +306,24 @@ def test_require_distinct():
     require_distinct([0.5, 1.5, 2.5])
     with pytest.raises(DegenerateParametersError):
         require_distinct([0.5, 0.5 + 1e-8])
+
+
+# -- incomplete-beta closed forms ---------------------------------------------
+
+
+def test_pp3_inc_beta_evaluates_each_beta_once(monkeypatch):
+    # B_z(a + k + s, 1 - b - k - s) depends on j = k + s only: for each of
+    # the two a's, n = m = 2 gives 9 pairs (k, s) and 5 distinct j.
+    calls = []
+
+    def counting(z, a, b):
+        calls.append((a, b))
+        return incomplete_beta(z, a, b)
+
+    monkeypatch.setattr(reductions, "incomplete_beta", counting)
+    req = ReductionRequest(
+        "Pp3Fp2IncBeta", {"a": (0.5, 1.25), "b": -0.5, "c": 1.3, "d": 0.8}, {"n": 2, "m": 2}, 0.4
+    )
+    res = reduce(req)
+    assert len(calls) == len(set(calls)) == 10
+    assert res.value == pytest.approx(eval_pfq(lhs_spec(req)).value, rel=1e-12)

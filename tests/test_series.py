@@ -21,6 +21,7 @@ from hyperreduce.series import (
     RICHARDSON_MIN_LEVELS,
     RICHARDSON_NOISE,
     RICHARDSON_SAFETY,
+    SMALL_TERM_STREAK,
     EvalResult,
     PFQSpec,
     Status,
@@ -210,6 +211,126 @@ def test_result_is_frozen():
 def test_non_finite_spec_rejected(spec):
     with pytest.raises(DomainError):
         eval_pfq(spec)
+
+
+# ---------------------------------------------------------------------------
+# Off the unit circle: the summation loop generated per shape (p, q)
+# ---------------------------------------------------------------------------
+
+
+def _per_term_off_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
+    """The off-circle sum of eval_pfq with loops over the parameters.
+
+    The reference for the loop generated per shape: the same limit, term
+    recurrence (factor *= a + k for each upper a, factor /= b + k for each
+    lower b), Kahan sum, stop rule and estimates, written out again.  It does
+    not police convergence.
+    """
+    eps = math.ulp(1.0)
+    n_stop = terminating_order(spec)
+    if n_stop is not None and n_stop < max_terms:
+        limit, status = n_stop, Status.TERMINATED
+    else:
+        limit, status = max_terms, Status.MAX_TERMS_REACHED
+    z = spec.z
+    total, comp, abs_sum, term, prev, streak, k = 1.0, 0.0, 1.0, 1.0, 1.0, 0, 0
+    while k < limit:
+        factor = z / (k + 1)
+        for a in spec.upper:
+            factor *= a + k
+        for b in spec.lower:
+            factor /= b + k
+        prev = term
+        term *= factor
+        if not math.isfinite(term):
+            raise OverflowError("series term overflowed to non-finite value")
+        k += 1
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_sum += abs(term)
+        if abs(term) <= tol * abs(total):
+            streak += 1
+            if streak >= SMALL_TERM_STREAK:
+                status = Status.CONVERGED
+                break
+        else:
+            streak = 0
+    rounding = eps * abs_sum
+    if status is Status.TERMINATED:
+        err = rounding
+    elif status is Status.CONVERGED:
+        ratio = abs(term) / abs(prev) if prev != 0.0 else 0.0
+        tail = abs(term) * ratio / (1.0 - ratio) if ratio < 0.999999 else abs(term) * k
+        err = max(tail, 3.0 * abs(term)) + rounding
+    else:
+        err = abs(term) * k + rounding
+    return EvalResult(total, err, k, status)
+
+
+def _outcome(evaluate, spec, max_terms, tol):
+    """(value, abs_err_est, terms_used, status) with the floats in hex, or the
+    type of the exception raised."""
+    try:
+        res = evaluate(spec, max_terms=max_terms, tol=tol)
+    except Exception as exc:
+        return type(exc)
+    return res.value.hex(), res.abs_err_est.hex(), res.terms_used, res.status
+
+
+_wide = st.floats(-30.0, 30.0)
+# q <= 5 lower parameters and p <= q + 1 upper ones, some of them terminating
+# (up to order 40).
+_off_circle_spec = st.integers(0, 5).flatmap(
+    lambda q: st.integers(0, q + 1).flatmap(
+        lambda p: st.tuples(
+            st.lists(st.one_of(_wide, st.integers(-40, 0).map(float)), min_size=p, max_size=p),
+            st.lists(_wide, min_size=q, max_size=q),
+        )
+    )
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    drawn=_off_circle_spec,
+    z=st.one_of(st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300]), _wide),
+    max_terms=st.integers(1, DEFAULT_MAX_TERMS),
+    tol=st.floats(-16.0, -6.0).map(lambda e: 10.0**e),
+)
+@example(drawn=([], [1.5]), z=2.0, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL)
+@example(
+    drawn=([0.5, -7.0, 1.25, 2.0, 3.5, 0.75], [1.5, 2.5, 0.25, 4.0, 5.5]),
+    z=-0.7,
+    max_terms=DEFAULT_MAX_TERMS,
+    tol=DEFAULT_TOL,
+)
+def test_generated_loop_matches_per_term_loop(drawn, z, max_terms, tol):
+    # Value and estimate bitwise, terms_used, status and the exception type
+    # are those of the per-parameter loop.
+    upper, lower = drawn
+    spec = PFQSpec(upper, lower, z)
+    on_circle = len(upper) == len(lower) + 1 and abs(z) == 1.0
+    assume(not (on_circle and terminating_order(spec) is None))
+    got = _outcome(eval_pfq, spec, max_terms, tol)
+    # Specs the prologue rejects never reach the loop.
+    assume(got not in (LowerPoleError, DivergentSeriesError))
+    assert got == _outcome(_per_term_off_circle, spec, max_terms, tol)
+
+
+def test_overflow_off_circle_raises_without_warning():
+    # t_1 = 1e303 and t_2 overflows, in the loop of the p = 0 shape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            eval_pfq(PFQSpec([], [1e-3], 1e300))
 
 
 # ---------------------------------------------------------------------------
