@@ -246,11 +246,11 @@ def _n(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def _distinct_list(
-    rng: np.random.Generator, count: int, lo: float, hi: float, min_gap: float = 0.1
+    rng: np.random.Generator, count: int, lo: float, hi: float
 ) -> tuple[float, ...]:
     for _ in range(200):
         vs = sorted(_u(rng, lo, hi) for _ in range(count))
-        if all(vs[i + 1] - vs[i] >= min_gap for i in range(count - 1)):
+        if all(vs[i + 1] - vs[i] >= 0.1 for i in range(count - 1)):
             return tuple(vs)
     raise UnsatisfiableDomainError("could not draw a pairwise-distinct list")
 

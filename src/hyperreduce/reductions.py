@@ -61,11 +61,11 @@ class _Acc:
         self.magnitude += abs(coef) * inner.magnitude
 
 
-def require_distinct(values: Sequence[float], tol: float = DISTINCT_TOL) -> None:
+def require_distinct(values: Sequence[float]) -> None:
     vs = list(values)
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            if abs(vs[i] - vs[j]) < tol:
+            if abs(vs[i] - vs[j]) < DISTINCT_TOL:
                 raise DegenerateParametersError(
                     f"parameters {vs[i]} and {vs[j]} are (nearly) coincident"
                 )
@@ -82,13 +82,6 @@ def _partial_fraction_sum(a_list: Sequence[float], f) -> _Acc:
                 den *= aj - al
         acc.add(f(al) / den)
     return acc
-
-
-def _product(values: Sequence[float]) -> float:
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,7 @@ def pp2_literature_rhs(
 ) -> tuple[float, float]:
     """Same left-hand side as pp2_inc_beta_rhs but through the n-th derivative
     operator acting on z^g B_z, the formulation found in earlier literature."""
-    pre = z ** (1.0 - c) / pochhammer(c, n) * _product(a_list)
+    pre = z ** (1.0 - c) / pochhammer(c, n) * math.prod(a_list)
     acc = _partial_fraction_sum(
         a_list, lambda al: h_derivative(n, al, 1.0 - b, n + c - al - 1.0, z)
     )
@@ -403,7 +396,7 @@ def pp3_h_rhs(
 ) -> tuple[float, float]:
     """(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; z) through the m-th
     derivative operator acting on z^g B_z."""
-    pre = z ** (1.0 - d) * _product(a_list) / pochhammer(d, m)
+    pre = z ** (1.0 - d) * math.prod(a_list) / pochhammer(d, m)
     total = _Acc()
     for k in range(n + 1):
         coef = binomial(n, k) * pochhammer(b, k) / pochhammer(c, k)
@@ -423,7 +416,7 @@ def pp3_inc_beta_rhs(
     B_z(al + k + s, 1 - b - k - s) is evaluated once per call: the value
     depends on k + s only, and the key is the pair of arguments as computed,
     since (al + k) + s may round apart from al + (k + s)."""
-    pre = _product(a_list) / pochhammer(d, m)
+    pre = math.prod(a_list) / pochhammer(d, m)
     betas: dict[tuple[float, float], float] = {}
 
     def beta(x: float, y: float) -> float:
@@ -454,7 +447,7 @@ def pp3_unity_rhs(
 ) -> tuple[float, float]:
     """(p+3)F(p+2)(...; 1) as a pure beta-function partial-fraction sum;
     requires b < 1 - max(n, m)."""
-    pre = _product(a_list) / (pochhammer(d, m) * pochhammer(c, n))
+    pre = math.prod(a_list) / (pochhammer(d, m) * pochhammer(c, n))
     acc = _partial_fraction_sum(
         a_list,
         lambda al: pochhammer(d - al, m)

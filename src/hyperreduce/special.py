@@ -2,9 +2,10 @@
 incomplete beta, lower incomplete gamma, Bessel I/J, generalized Laguerre
 polynomials, Pochhammer and binomial utilities.
 
-Everything works in real double precision.  Functions that can change sign
-through gamma reflection carry the sign separately (ln_gamma) so that
-products of many gamma factors can be assembled in log space.
+Everything works in real double precision.  Gamma and log|Gamma| come from
+Python's ``math`` module; ln_gamma carries the sign of Gamma separately, from
+the parity of floor(x) for negative x, so that products of many gamma factors
+can be assembled in log space.
 """
 
 from __future__ import annotations
@@ -17,22 +18,6 @@ from .series import PFQSpec, eval_pfq, is_nonpositive_integer
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
 _MAX_EXP_ARG = 709.0
 
 # Asymptotic digamma: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n).
@@ -58,25 +43,16 @@ def ln_gamma(x: float) -> tuple[float, int]:
     Raises PoleError when x is within 1e-12 of a non-positive integer.
     """
     _check_pole(x)
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-        log_ref, _ = ln_gamma(1.0 - x)
-        s = math.sin(math.pi * x)
-        return _LOG_PI - math.log(abs(s)) - log_ref, (1 if s > 0.0 else -1)
-    t = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (t + i)
-    w = t + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (t + 0.5) * math.log(w) - w + math.log(acc), 1
+    return math.lgamma(x), -1 if x < 0.0 and math.floor(x) % 2 else 1
 
 
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real x away from non-positive integers."""
-    log_g, sign = ln_gamma(x)
-    if log_g > _MAX_EXP_ARG:
-        raise OverflowError(f"Gamma({x}) exceeds double range")
-    return sign * math.exp(log_g)
+    _check_pole(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"Gamma({x}) exceeds double range") from None
 
 
 def gamma_ratio(numerator: Iterable[float], denominator: Iterable[float]) -> float:

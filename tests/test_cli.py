@@ -193,3 +193,12 @@ def test_verify_unknown_id_fails_before_any_entry_runs(capsys):
 def test_reduce_incomplete_gamma_overflow_exits_3(z, capsys):
     assert run(["reduce", "F11IncGamma", "--a", "0.5", "--z", z]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_reduce_gamma_overflow_exits_3(capsys):
+    # Gamma(180) overflows a double: a numeric failure (exit 3), not a usage
+    # error, with the message naming the argument.
+    assert run(["reduce", "F01Bessel", "--b", "180", "--z", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Gamma(180.0) exceeds double range" in captured.err

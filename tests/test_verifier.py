@@ -130,21 +130,22 @@ def test_summary_matches_results():
 # Hash of the deterministic report (summary without timing, plus JSONL) at
 # 30 cases per entry.  A refactor must leave both unchanged; a change that
 # alters a reported number must say so and update them on purpose.  Last
-# changed by the correctly rounded partial sums at z = 1 (math.fsum per
-# segment instead of Kahan's sum): only the lhs and rel_err of 22 (seed 0) and
-# 21 (seed 1) of the 180 z = 1 rows moved, by at most 2e-10 relative, and with
-# them the worst_rel_err of 4 and 3 z = 1 entries; no verdict changed.
+# changed by taking Gamma and log|Gamma| from the math module in place of a
+# Lanczos fit: only the rhs and rel_err of 364 (seed 0) and 376 (seed 1) of
+# the 840 rows moved, all in the 13 entries with a gamma factor (five Bessel,
+# F32HalfPlusM, F32HalfMinusM, six z = 1), and with them those entries'
+# worst_rel_err; no verdict changed.
 GOLDEN_REPORT_SHA256 = {
-    0: "5f1e35bc85b9cf57a92cf0723d39305973580c914b5c69c1512a70ccc9791451",
-    1: "b6aaeb318f95b0be4866b08fd7e0c7e8572c6255dd79bd384c28e407c096f943",
+    0: "021130f2d968500ca014dbc8d53f05a655c44d3fb630d75450896fc14f23e513",
+    1: "bba33217e979b7915bccbcea883cf9f85aef719fe6baf88670a75023db2d05d5",
 }
 
 
 # The same hash over the 22 interior (z != 1) entries only.  Their oracle never
 # sees |z| = 1, so a change to the z = 1 summation must leave these unchanged.
 GOLDEN_INTERIOR_SHA256 = {
-    0: "06320dfc5585e8e9b9bcc0a72623572a683ac2e58875617c9fddce0eaca2225d",
-    1: "6dd710bad4cf704313f89663cf072a05f28aaaaf688ae8a710c8097e74c79f30",
+    0: "d367dabd7998a1673eee95f54fee8df416b2b206439e8268e473c62714ccefcb",
+    1: "ad8c79621e62b2d015219d325eede643a189b518a9afa5389658f703f900e287",
 }
 
 
