@@ -19,8 +19,7 @@ from .errors import (
     DomainError,
     UnsatisfiableDomainError,
 )
-from .series import EvalResult, PFQSpec, Status, unity_margin
-from .special import off_poles
+from .series import EvalResult, PFQSpec, Status, is_nonpositive_integer, unity_margin
 
 _EPS = math.ulp(1.0)
 
@@ -266,7 +265,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_off_poles(values: Sequence[float], what: str) -> None:
-    if not off_poles(values, POLE_DIST):
+    if any(is_nonpositive_integer(x, POLE_DIST) for x in values):
         raise DomainError(f"{what} too close to a non-positive integer")
 
 

@@ -180,9 +180,9 @@ def f32_half_minus_unsigned_rhs(
 def f32_unity_jl_rhs(a: float, b: float) -> tuple[float, float]:
     """3F2(a,b,b; b+1,b+1; 1) = b^2 B(1-a,b) [psi(1+b-a) - psi(b)]."""
     pre = b * b * complete_beta(1.0 - a, b)
-    diff = digamma(1.0 + b - a) - digamma(b)
-    mag = abs(pre) * (abs(digamma(1.0 + b - a)) + abs(digamma(b)))
-    return pre * diff, mag
+    psi_ba = digamma(1.0 + b - a)
+    psi_b = digamma(b)
+    return pre * (psi_ba - psi_b), abs(pre) * (abs(psi_ba) + abs(psi_b))
 
 
 def f43_unity_rhs(a: float, b: float, c: float, n: int) -> tuple[float, float]:
@@ -604,22 +604,19 @@ def bateman_next(a: float, n: int) -> float:
 def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> float:
     """n-th derivative of z^gamma * B_z(alpha, beta) in closed form.
 
-    For z = 1 (requires beta > n) the incomplete beta collapses to the
-    complete one and the correction sum vanishes identically."""
+    At z = 1 (requires beta > n) incomplete_beta returns the complete beta
+    and the correction sum vanishes identically, so it is skipped."""
     if n < 0:
         raise DomainError("n must be non-negative")
     if alpha <= 0.0:
         raise DomainError("requires alpha > 0")
     if not 0.0 < z <= 1.0:
         raise DomainError("requires 0 < z <= 1")
-    if z == 1.0:
-        if beta <= n:
-            raise DomainError("z = 1 requires beta > n")
-        value = pochhammer(-gamma, n) * complete_beta(alpha, beta)
-        return value if n % 2 == 0 else -value
+    if z == 1.0 and beta <= n:
+        raise DomainError("z = 1 requires beta > n")
     main = pochhammer(-gamma, n) * incomplete_beta(z, alpha, beta)
     corr = 0.0
-    for k in range(n):
+    for k in range(n if z < 1.0 else 0):
         inner = eval_pfq(PFQSpec([alpha, 1.0 - beta], [alpha - k], z), tol=1e-16)
         corr += (
             binomial(n, k + 1)

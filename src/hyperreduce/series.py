@@ -97,9 +97,14 @@ class EvalResult:
     status: Status
 
 
-def is_nonpositive_integer(x: float) -> bool:
-    """Whether x is within INTEGER_SNAP of 0, -1, -2, ...; False for NaN."""
-    return x < 0.5 and abs(x - round(x)) <= INTEGER_SNAP
+def is_nonpositive_integer(x: float, within: float = INTEGER_SNAP) -> bool:
+    """Whether x lies closer than ``within`` to one of 0, -1, -2, ...
+
+    The default treats x as an integer up to rounding; the catalog passes its
+    wider pole distance to reject parameters near a gamma or psi pole.
+    False for NaN.
+    """
+    return x < 0.5 and abs(x - round(x)) < within
 
 
 def unity_margin(spec: PFQSpec) -> float:

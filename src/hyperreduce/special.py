@@ -5,13 +5,15 @@ polynomials, Pochhammer and binomial utilities.
 Everything works in real double precision.  Gamma and log|Gamma| come from
 Python's ``math`` module; ln_gamma carries the sign of Gamma separately, from
 the parity of floor(x) for negative x, so that products of many gamma factors
-can be assembled in log space.
+can be assembled in log space.  The Pochhammer symbol (x)_k is the plain
+product of its k factors for every k >= 0, so its error is about 2k roundings;
+like any float product it overflows to +-inf rather than raising.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, PoleError
 from .series import PFQSpec, eval_pfq, is_nonpositive_integer
@@ -97,29 +99,17 @@ def bateman_g(x: float) -> float:
 
 
 def pochhammer(x: float, k: int) -> float:
-    """Rising factorial (x)_k for any integer k.
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1) for k >= 0, as a product.
 
-    Negative index uses (x)_{-n} = (-1)^n / (1-x)_n; raises ZeroDivisionError
-    when that denominator vanishes.
+    The product overflows to +-inf like any float product; k < 0 raises
+    DomainError.
     """
-    if k == 0:
-        return 1.0
     if k < 0:
-        n = -k
-        den = pochhammer(1.0 - x, n)
-        if den == 0.0:
-            raise ZeroDivisionError(f"(1 - {x})_{n} = 0 in negative-index Pochhammer")
-        return (-1.0) ** (n % 2) / den
-    if k <= 64:
-        acc = 1.0
-        for j in range(k):
-            acc *= x + j
-        return acc
-    # Large shift: log-gamma form; exact zeros only occur for x a
-    # non-positive integer with x + k > 0, handled by the direct loop above.
-    if is_nonpositive_integer(x) and x + k > 0.5:
-        return 0.0
-    return gamma_ratio((x + k,), (x,))
+        raise DomainError(f"Pochhammer index must be non-negative, got k = {k}")
+    acc = 1.0
+    for j in range(k):
+        acc *= x + j
+    return acc
 
 
 def binomial(n: int, k: int) -> float:
@@ -226,13 +216,3 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1)
     return cur
-
-
-def off_poles(values: Sequence[float], min_dist: float = 0.05) -> bool:
-    """True when every value stays at least min_dist away from gamma poles."""
-    for x in values:
-        if x >= min_dist:
-            continue
-        if abs(x - round(x)) < min_dist and round(x) <= 0:
-            return False
-    return True

@@ -54,8 +54,11 @@ class CaseResult:
     lhs_value: float | None
     rhs_value: float | None
     rel_err: float | None
-    passed: bool
     failure_kind: str | None  # Mismatch / OracleNonConvergent / DomainRejected
+
+    @property
+    def passed(self) -> bool:
+        return self.failure_kind is None
 
     @property
     def skipped(self) -> bool:
@@ -126,11 +129,11 @@ def run_case(case: VerificationCase) -> CaseResult:
         rhs = catalog.reduce(case.request).value
         oracle = eval_pfq(spec, tol=oracle_tol)
     except DomainError:
-        return CaseResult(case.case_id, entry.id, case.request, None, None, None, False, DOMAIN_REJECTED)
+        return CaseResult(case.case_id, entry.id, case.request, None, None, None, DOMAIN_REJECTED)
     except HyperreduceError:
-        return CaseResult(case.case_id, entry.id, case.request, None, None, None, False, ORACLE_NON_CONVERGENT)
+        return CaseResult(case.case_id, entry.id, case.request, None, None, None, ORACLE_NON_CONVERGENT)
     if oracle.status is Status.MAX_TERMS_REACHED:
-        return CaseResult(case.case_id, entry.id, case.request, None, rhs, None, False, ORACLE_NON_CONVERGENT)
+        return CaseResult(case.case_id, entry.id, case.request, None, rhs, None, ORACLE_NON_CONVERGENT)
     passed, rel_err = _compare(oracle.value, rhs, tol_rel, tol_abs)
     return CaseResult(
         case.case_id,
@@ -139,7 +142,6 @@ def run_case(case: VerificationCase) -> CaseResult:
         oracle.value,
         rhs,
         rel_err,
-        passed,
         None if passed else MISMATCH,
     )
 

@@ -202,3 +202,11 @@ def test_reduce_gamma_overflow_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Gamma(180.0) exceeds double range" in captured.err
+
+
+def test_reduce_check_passes_when_pochhammer_overflows(capsys):
+    # (1e200)_2 overflows to inf, which turns a negligible term of the closed
+    # form into 0 instead of raising.
+    rc = run(["reduce", "F22IncGamma", "--a", "1", "--c", "1e200", "--n", "2", "--z", "1", "--check"])
+    assert rc == 0
+    assert "check       = pass" in capsys.readouterr().out

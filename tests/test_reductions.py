@@ -146,10 +146,13 @@ def test_h_derivative_matches_mp_diff():
 
 
 def test_h_derivative_at_unity():
-    # collapses to (-1)^n (-g)_n B(alpha, beta) when beta > n
-    for n, alpha, beta, g in ((2, 1.3, 3.5, 0.4), (1, 0.8, 2.2, 1.7), (3, 2.0, 4.5, -0.6)):
+    # Exactly (-1)^n (-g)_n B(alpha, beta) when beta > n: z^(g-n) and z^alpha
+    # are 1.0 and the correction sum is skipped.
+    for n, alpha, beta, g in (
+        (0, 0.7, 0.3, 2.2), (2, 1.3, 3.5, 0.4), (1, 0.8, 2.2, 1.7), (3, 2.0, 4.5, -0.6)
+    ):
         expected = (-1.0) ** n * pochhammer(-g, n) * complete_beta(alpha, beta)
-        assert h_derivative(n, alpha, beta, g, 1.0) == pytest.approx(expected, rel=1e-10)
+        assert h_derivative(n, alpha, beta, g, 1.0) == expected
     with pytest.raises(DomainError):
         h_derivative(3, 1.3, 2.5, 0.4, 1.0)  # beta <= n
     with pytest.raises(DomainError):

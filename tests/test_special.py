@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperreduce.catalog import POLE_DIST
 from hyperreduce.errors import DomainError, PoleError
 from hyperreduce.special import (
     EULER_GAMMA,
@@ -24,7 +25,6 @@ from hyperreduce.special import (
     laguerre,
     ln_gamma,
     lower_incomplete_gamma,
-    off_poles,
     pochhammer,
 )
 
@@ -122,19 +122,20 @@ def test_pochhammer_against_gamma():
         assert pochhammer(x, k) == pytest.approx(expected, rel=1e-12)
 
 
-def test_pochhammer_negative_index():
-    # (x)_{-n} = (-1)^n / (1-x)_n
-    assert pochhammer(3.0, -2) == pytest.approx(1.0 / ((-2.0) * (-1.0)), rel=1e-14)
-    with pytest.raises(ZeroDivisionError):
-        pochhammer(1.0, -1)  # (1)_{-1} needs (0)_1 = 0
-
-
 def test_pochhammer_zero_and_large():
     assert pochhammer(2.5, 0) == 1.0
     assert pochhammer(-3.0, 5) == 0.0
     assert pochhammer(0.5, 100) == pytest.approx(
         scipy.special.poch(0.5, 100), rel=1e-11
     )
+
+
+def test_pochhammer_negative_index_raises_and_product_overflows_to_inf():
+    with pytest.raises(DomainError):
+        pochhammer(0.5, -1)
+    # (0.5)_200 ~ 1e373: the product overflows like any float product.
+    assert pochhammer(0.5, 200) == math.inf
+    assert pochhammer(-0.5, 201) == -math.inf
 
 
 def test_binomial():
@@ -222,10 +223,11 @@ def test_laguerre_matches_scipy():
 
 
 def test_off_poles():
-    assert off_poles([0.3, 1.0, 2.5])
-    assert not off_poles([0.01])
-    assert not off_poles([-2.02])
-    assert off_poles([-2.5])
+    assert not any(is_nonpositive_integer(x, POLE_DIST) for x in (0.3, 1.0, 2.5))
+    assert is_nonpositive_integer(0.01, POLE_DIST)
+    assert is_nonpositive_integer(-2.02, POLE_DIST)
+    assert not is_nonpositive_integer(-2.5, POLE_DIST)
+    assert not is_nonpositive_integer(math.nan, POLE_DIST)
 
 
 def test_lower_incomplete_gamma_overflow_raises():
@@ -271,3 +273,17 @@ def test_gamma_negative_within_8_ulp_and_sign(x):
 def test_complete_beta_against_mpmath(a, b):
     with mpmath.workdps(40):
         assert _rel_err(complete_beta(a, b), mpmath.beta(a, b)) <= 4.5e-14
+
+
+# The product (x)_k against mpmath at 40 digits for k up to 150, with x at
+# least POLE_DIST from the zeros at 0, -1, -2, ...  The bound is 1.9 times the
+# worst relative error measured on 200 000 random pairs with k in [120, 150]
+# (9.4e-15, at x = 29.9, k = 150); each factor adds one rounding to it.
+@_mp_settings
+@given(
+    x=st.floats(-30.0, 30.0).filter(lambda x: not is_nonpositive_integer(x, POLE_DIST)),
+    k=st.integers(0, 150),
+)
+def test_pochhammer_against_mpmath(x, k):
+    with mpmath.workdps(40):
+        assert _rel_err(pochhammer(x, k), mpmath.rf(x, k)) <= 1.8e-14
