@@ -8,7 +8,10 @@ circle it sums term by term and stops on small terms.  That loop is generated
 once per shape (p, q), on first use: the parameters are unpacked into locals
 and each factor is one expression, in the order of the per-parameter
 recurrence, so no loop over the parameters runs per term and every term is
-bitwise the recurrence's.
+bitwise the recurrence's.  The index k is carried also as a float, exact
+below 2^53, so each factor is float arithmetic throughout; |t_k| is taken
+once per term, and a comparison with the largest finite double serves as the
+finiteness test.
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -27,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -84,8 +88,8 @@ class PFQSpec:
     z: float
 
     def __init__(self, upper: Sequence[float], lower: Sequence[float], z: float):
-        object.__setattr__(self, "upper", tuple(float(a) for a in upper))
-        object.__setattr__(self, "lower", tuple(float(b) for b in lower))
+        object.__setattr__(self, "upper", tuple(map(float, upper)))
+        object.__setattr__(self, "lower", tuple(map(float, lower)))
         object.__setattr__(self, "z", float(z))
 
 
@@ -212,9 +216,12 @@ def eval_pfq(
 
 
 # The off-circle loop, written out for one shape (p, q).  Each term is
-# term *= z / (k + 1) * (u0 + k) * ... / (l0 + k) ..., left to right, which is
-# the order of the per-parameter recurrence, so every term is bitwise the one
-# that recurrence gives.
+# term *= z / x1 * (u0 + x) * ... / (l0 + x) ..., left to right, which is the
+# order of the per-parameter recurrence.  x = k and x1 = k + 1 are carried as
+# floats: an int below 2^53 converts to float exactly, so every factor is
+# bitwise the one that recurrence gives with the int k, and the arithmetic is
+# float with float throughout.  "not mag <= MAX_FINITE" is true exactly for
+# +-inf and NaN, as "not isfinite(term)" is.
 _OFF_CIRCLE_SOURCE = """\
 def _sum(upper, lower, z, limit, tol):
     ({uppers}) = upper
@@ -225,19 +232,23 @@ def _sum(upper, lower, z, limit, tol):
     term = prev = 1.0
     streak = 0
     k = 0
+    x = 0.0  # k as a float
     while k < limit:
         prev = term
+        x1 = x + 1.0
         term *= {factor}
-        if not isfinite(term):
+        mag = abs(term)
+        if not mag <= MAX_FINITE:
             raise OverflowError("series term overflowed to non-finite value")
         k += 1
+        x = x1
         # Kahan-compensated accumulation
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_sum += abs(term)
-        if abs(term) <= tol * abs(total):
+        abs_sum += mag
+        if mag <= tol * abs(total):
             streak += 1
             if streak >= SMALL_TERM_STREAK:
                 return total, abs_sum, term, prev, k, True
@@ -255,19 +266,22 @@ def _off_circle_loop(p: int, q: int):
     k, converged): the Kahan sum of the terms t_0 ... t_k, sum |t_k|, the last
     two terms, the number k of terms after t_0, and whether the small-term
     rule stopped the sum.  The parameters are unpacked into locals u0 ...,
-    l0 ..., so no loop over them runs per term.  The source holds only names
+    l0 ..., so no loop over them runs per term.  The loop carries k also as
+    the floats x = k and x1 = k + 1, takes mag = |t_k| once for sum |t_k|
+    and the small-term test, and raises OverflowError when not
+    mag <= MAX_FINITE (an infinite or NaN term).  The source holds only names
     built from p and q.
     """
     uppers = [f"u{i}" for i in range(p)]
     lowers = [f"l{j}" for j in range(q)]
-    factor = "z / (k + 1)" + "".join(f" * ({u} + k)" for u in uppers)
-    factor += "".join(f" / ({b} + k)" for b in lowers)
+    factor = "z / x1" + "".join(f" * ({u} + x)" for u in uppers)
+    factor += "".join(f" / ({b} + x)" for b in lowers)
     source = _OFF_CIRCLE_SOURCE.format(
         uppers="".join(f"{u}, " for u in uppers),
         lowers="".join(f"{b}, " for b in lowers),
         factor=factor,
     )
-    namespace = {"isfinite": math.isfinite, "SMALL_TERM_STREAK": SMALL_TERM_STREAK}
+    namespace = {"MAX_FINITE": sys.float_info.max, "SMALL_TERM_STREAK": SMALL_TERM_STREAK}
     exec(compile(source, f"<off-circle loop {p}F{q}>", "exec"), namespace)
     return namespace["_sum"]
 

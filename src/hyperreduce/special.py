@@ -13,9 +13,10 @@ like any float product it overflows to +-inf rather than raising.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, HyperreduceError, PoleError
 from .series import PFQSpec, eval_pfq, is_nonpositive_integer
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -145,26 +146,68 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
 
 def lower_incomplete_gamma(a: float, z: float) -> float:
     """Lower incomplete gamma via the stable ascending series
-    z^a e^{-z} sum_k z^k / (a)_{k+1}; raises OverflowError once the sum
-    overflows, near z = 709."""
-    if a <= 0.0:
-        raise DomainError(f"incomplete gamma requires a > 0, got a = {a}")
-    if z < 0.0:
-        raise DomainError(f"incomplete gamma requires z >= 0, got z = {z}")
+    z^a e^{-z} sum_k z^k / (a)_{k+1}.
+
+    Past z ~ 708, where e^{-z} is no longer a normal double, or once the sum
+    overflows, the value is Gamma(a) - Gamma(a, z) with Gamma(a, z) from its
+    continued fraction (_upper_gamma_fraction); an overflowing Gamma(a)
+    raises OverflowError.
+    """
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"incomplete gamma requires finite a > 0, got a = {a}")
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"incomplete gamma requires finite z >= 0, got z = {z}")
     if z == 0.0:
         return 0.0
-    term = 1.0 / a
-    total = term
-    k = 0
-    while k < 10_000:
-        k += 1
-        term *= z / (a + k)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    if not math.isfinite(total):
-        raise OverflowError(f"incomplete gamma series overflows at z = {z}")
-    return z**a * math.exp(-z) * total
+    decay = math.exp(-z)
+    if decay >= sys.float_info.min:
+        term = 1.0 / a
+        total = term
+        k = 0
+        while k < 10_000:
+            k += 1
+            term *= z / (a + k)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        if math.isfinite(total):
+            return z**a * decay * total
+    return gamma_fn(a) - _upper_gamma_fraction(a, z)
+
+
+# The continued fraction of Gamma(a, z) stops when a step changes it by less
+# than this relative amount, or raises after this many steps.
+_FRACTION_TOL = math.ulp(1.0)
+_FRACTION_MAX_STEPS = 1_000
+_LENTZ_TINY = 1e-300
+
+
+def _upper_gamma_fraction(a: float, z: float) -> float:
+    """Gamma(a, z) = z^a e^{-z} / (z + 1 - a - 1 (1 - a) / (z + 3 - a - 2 (2 - a) / ...)).
+
+    The even contraction of DLMF 8.9.2, evaluated by the modified Lentz
+    method.  It converges quickly for z > a + 1; the prefactor is formed in
+    log space, so it underflows to 0 rather than overflowing.
+    """
+    b = z + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    frac = d
+    for i in range(1, _FRACTION_MAX_STEPS + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = b + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        frac *= step
+        if abs(step - 1.0) <= _FRACTION_TOL:
+            return math.exp(a * math.log(z) - z) * frac
+    raise HyperreduceError(f"continued fraction of Gamma({a}, {z}) did not converge")
 
 
 def _bessel_series(nu: float, x: float, alternating: bool) -> float:

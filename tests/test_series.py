@@ -333,6 +333,26 @@ def test_overflow_off_circle_raises_without_warning():
             eval_pfq(PFQSpec([], [1e-3], 1e300))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PFQSpec([1e150], [1.0], 1e150),  # 1F1: t_1 = 1e300
+        PFQSpec([1e100, 1e100], [1.0], 0.5),  # 2F1: t_1 = 5e199
+        PFQSpec([1e100, 1e100, 1e100], [1.0, 1.0], 0.5),  # 3F2: t_1 = 5e299
+        PFQSpec([], [1.0], 1e300),  # 0F1: t_1 = 1e300
+    ],
+    ids=["1F1", "2F1", "3F2", "0F1"],
+)
+def test_overflow_mid_series_matches_per_term_loop(spec):
+    # t_1 is finite and t_2 overflows, in the generated loop of each shape:
+    # the same outcome as the per-parameter loop, and no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(eval_pfq, spec, DEFAULT_MAX_TERMS, DEFAULT_TOL)
+    assert got is OverflowError
+    assert got == _outcome(_per_term_off_circle, spec, DEFAULT_MAX_TERMS, DEFAULT_TOL)
+
+
 # ---------------------------------------------------------------------------
 # |z| = 1: Richardson extrapolation of the partial sums
 # ---------------------------------------------------------------------------

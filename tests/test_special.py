@@ -230,14 +230,22 @@ def test_off_poles():
     assert not is_nonpositive_integer(math.nan, POLE_DIST)
 
 
-def test_lower_incomplete_gamma_overflow_raises():
-    # The ascending series overflows past z ~ 709; below that it still holds.
-    assert lower_incomplete_gamma(0.5, 700.0) == pytest.approx(
-        scipy.special.gammainc(0.5, 700.0) * scipy.special.gamma(0.5), rel=1e-12
-    )
-    for z in (800.0, 1000.0):
-        with pytest.raises(OverflowError):
-            lower_incomplete_gamma(0.5, z)
+@pytest.mark.parametrize("a, z", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)])
+def test_lower_incomplete_gamma_rejects_non_finite(a, z):
+    with pytest.raises(DomainError):
+        lower_incomplete_gamma(a, z)
+
+
+def test_lower_incomplete_gamma_past_series_overflow():
+    # The ascending series overflows past z ~ 709 (or its e^-z factor leaves
+    # the normal range); there the value is Gamma(a) - Gamma(a, z).
+    for z in (700.0, 800.0, 1000.0):
+        assert lower_incomplete_gamma(0.5, z) == pytest.approx(
+            scipy.special.gammainc(0.5, z) * scipy.special.gamma(0.5), rel=1e-12
+        )
+    # An overflowing Gamma(a) still raises.
+    with pytest.raises(OverflowError):
+        lower_incomplete_gamma(180.0, 1000.0)
 
 
 # Gamma and the complete beta against mpmath at 40 digits.  The beta bound is
@@ -287,3 +295,17 @@ def test_complete_beta_against_mpmath(a, b):
 def test_pochhammer_against_mpmath(x, k):
     with mpmath.workdps(40):
         assert _rel_err(pochhammer(x, k), mpmath.rf(x, k)) <= 1.8e-14
+
+
+# The lower incomplete gamma for large z against mpmath at 40 digits.  The
+# bound is 2 times the worst relative error measured on 30 000 random pairs
+# (3.5e-14, at a = 24.8, z = 704.8, where the ascending series still holds);
+# past z ~ 708.4, Gamma(a) - Gamma(a, z) was within 9.5e-16.
+@_mp_settings
+@given(
+    a=st.floats(0.1, 50.0),
+    z=st.floats(math.log(700.0), math.log(1e5)).map(math.exp),
+)
+def test_lower_incomplete_gamma_large_z_against_mpmath(a, z):
+    with mpmath.workdps(40):
+        assert _rel_err(lower_incomplete_gamma(a, z), mpmath.gammainc(a, 0, z)) <= 7e-14
