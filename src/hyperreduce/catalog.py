@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from . import reductions as rd
 from .errors import (
@@ -237,7 +238,8 @@ def sample_request(entry_id: str, rng: np.random.Generator) -> ReductionRequest:
 
 
 def _u(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(rng.uniform(lo, hi))
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * random(): the same draw.
+    return lo + (hi - lo) * rng.random()
 
 
 def _n(rng: np.random.Generator, lo: int, hi: int) -> int:

@@ -9,6 +9,7 @@ failure, 2 usage error (including non-finite input), 3 numerical error (also a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -34,6 +35,7 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",")]
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperreduce",

@@ -34,8 +34,6 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     DivergentSeriesError,
     DomainError,
@@ -347,6 +345,8 @@ def _circle_partial_sums(
     recurrence would have met an overflowed term.  A partial sum that
     overflows with finite terms raises OverflowError from math.fsum.
     """
+    import numpy as np  # only the circle path needs it; importing the package does not
+
     z = spec.z
     kept = [1.0]  # the terms t_0 ... t_{N-1} summed so far
     abs_sum = 1.0

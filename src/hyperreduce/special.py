@@ -151,8 +151,12 @@ def lower_incomplete_gamma(a: float, z: float) -> float:
     Past z ~ 708, where e^{-z} is no longer a normal double, or once the sum
     overflows, the value is Gamma(a) - Gamma(a, z) with Gamma(a, z) from its
     continued fraction (_upper_gamma_fraction); an overflowing Gamma(a)
-    raises OverflowError.
+    raises OverflowError.  Where z^a alone overflows, the prefactor
+    z^a e^{-z} is formed in log space; a prefactor or value past the double
+    range raises OverflowError.
     """
+    a = float(a)
+    z = float(z)
     if not 0.0 < a < math.inf:
         raise DomainError(f"incomplete gamma requires finite a > 0, got a = {a}")
     if not 0.0 <= z < math.inf:
@@ -171,7 +175,13 @@ def lower_incomplete_gamma(a: float, z: float) -> float:
             if abs(term) <= 1e-17 * abs(total):
                 break
         if math.isfinite(total):
-            return z**a * decay * total
+            try:
+                return z**a * decay * total
+            except OverflowError:
+                value = math.exp(a * math.log(z) - z) * total
+                if not math.isfinite(value):
+                    raise OverflowError(f"lower incomplete gamma({a}, {z}) exceeds double range")
+                return value
     return gamma_fn(a) - _upper_gamma_fraction(a, z)
 
 

@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import catalog
 from .catalog import ReductionRequest
 from .errors import DomainError, HyperreduceError
@@ -110,6 +108,8 @@ def _compare(lhs: float, rhs: float, tol_rel: float, tol_abs: float) -> tuple[bo
 def sample_cases(entry_id: str, count: int, seed: int) -> list[VerificationCase]:
     """Deterministic in-domain cases; the stream depends only on
     (entry, seed), never on other entries."""
+    import numpy as np  # only sampling needs it; importing the package does not
+
     if count < 1:
         raise ValueError("count must be >= 1")
     entry = catalog.get_entry(entry_id)

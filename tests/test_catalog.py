@@ -316,3 +316,19 @@ def test_domain_is_decided_before_rhs(req):
             catalog.reduce(req)
     finally:
         object.__setattr__(entry, "rhs", original)
+
+
+def test_uniform_draw_is_generator_uniform():
+    # _u forms lo + (hi - lo) * random(), which is how Generator.uniform
+    # forms its draw, so twin generators give bitwise equal values and the
+    # streams stay in step, also across the integer draws of _n.
+    ours = np.random.default_rng(np.random.SeedSequence([14, 3]))
+    theirs = np.random.default_rng(np.random.SeedSequence([14, 3]))
+    bounds = [(0.0, 1.0), (-2.5, 3.0), (0.3, 4.0), (1, 3), (-0.999, -0.001), (1e-3, 1e3)]
+    for i in range(6000):
+        lo, hi = bounds[i % len(bounds)]
+        draw = catalog._u(ours, lo, hi)
+        assert type(draw) is float
+        assert draw.hex() == float(theirs.uniform(lo, hi)).hex()
+        if i % 7 == 0:
+            assert catalog._n(ours, 0, 5) == int(theirs.integers(0, 6))

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +223,46 @@ def test_reduce_check_passes_when_pochhammer_overflows(capsys):
     rc = run(["reduce", "F22IncGamma", "--a", "1", "--c", "1e200", "--n", "2", "--z", "1", "--check"])
     assert rc == 0
     assert "check       = pass" in capsys.readouterr().out
+
+
+# Runs cli.main on each command in a fresh interpreter and prints, after the
+# package import and after each command, its exit code and whether NumPy has
+# been imported.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import hyperreduce.cli
+steps = [["import", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hyperreduce.cli.main(argv)
+    steps.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def _numpy_probe(*commands):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, src, json.dumps([c.split() for c in commands])],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return [tuple(step) for step in json.loads(proc.stdout)]
+
+
+def test_numpy_loaded_only_by_circle_oracle_and_sampler():
+    assert _numpy_probe(
+        "catalog",
+        "reduce F21Contiguous --b 0.7 --c 1.4 --n 1 --z 0.3 --check",
+        "eval --upper 1,1 --lower 2 --z 0.5",
+        "eval --upper 0.5,0.5 --lower 1.2 --z 1",
+    ) == [
+        ("import", None, False),
+        ("catalog", 0, False),
+        ("reduce", 0, False),
+        ("eval", 0, False),
+        ("eval", 0, True),
+    ]
+    assert _numpy_probe("verify --cases 1") == [("import", None, False), ("verify", 0, True)]
