@@ -8,8 +8,7 @@ constraints, and a sampling domain for randomized verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,8 +31,7 @@ POLE_DIST = 0.05
 _MAX_DRAWS = 500
 
 
-@dataclass(frozen=True)
-class ReductionRequest:
+class ReductionRequest(NamedTuple):
     """A fully-specified invocation of one catalog formula."""
 
     id: str
@@ -42,7 +40,6 @@ class ReductionRequest:
     z: float | None = None
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """One named reduction: ``pFq(lhs(p)) == rhs(...)`` on the entry's domain.
 
@@ -60,27 +57,55 @@ class CatalogEntry:
       last, when ``fixed_z == 1``, ``lhs(p)`` must converge at z = 1.
     - ``ordinal`` is the registration order.  It seeds the entry's sampling
       stream, so reordering entries changes every verifier report.
+
+    An entry is read-only, and there is one per id, so entries compare by
+    identity.
     """
 
-    id: str
-    ordinal: int
-    scalar_names: tuple[str, ...]
-    list_names: tuple[str, ...]
-    shift_names: tuple[str, ...]
-    description: str
-    constraints: str
-    fixed_z: float | None = None
-    positive: tuple[str, ...] = ()
-    lhs: Callable[[dict], PFQSpec] = field(repr=False, compare=False, default=None)
-    rhs: Callable[..., tuple[float, float]] = field(
-        repr=False, compare=False, default=None
+    __slots__ = (
+        "id",
+        "ordinal",
+        "scalar_names",
+        "list_names",
+        "shift_names",
+        "description",
+        "constraints",
+        "fixed_z",
+        "positive",
+        "lhs",
+        "rhs",
+        "check",
+        "draw",
     )
-    check: Callable[[dict], None] | None = field(
-        repr=False, compare=False, default=None
-    )
-    draw: Callable[[np.random.Generator], dict] = field(
-        repr=False, compare=False, default=None
-    )
+    _SHOWN = __slots__[:9]  # the repr leaves out the four callables
+
+    def __init__(
+        self,
+        *,
+        id: str,
+        ordinal: int,
+        scalar_names: tuple[str, ...],
+        list_names: tuple[str, ...],
+        shift_names: tuple[str, ...],
+        description: str,
+        constraints: str,
+        fixed_z: float | None = None,
+        positive: tuple[str, ...] = (),
+        lhs: Callable[[dict], PFQSpec] | None = None,
+        rhs: Callable[..., tuple[float, float]] | None = None,
+        check: Callable[[dict], None] | None = None,
+        draw: Callable[[np.random.Generator], dict] | None = None,
+    ) -> None:
+        fields = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CatalogEntry is read-only: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._SHOWN)
+        return f"CatalogEntry({shown})"
 
     @property
     def unity(self) -> bool:

@@ -31,8 +31,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     DivergentSeriesError,
@@ -77,22 +76,22 @@ class Status(enum.Enum):
     MAX_TERMS_REACHED = "MaxTermsReached"
 
 
-@dataclass(frozen=True)
-class PFQSpec:
-    """One generalized hypergeometric value: upper/lower parameter lists and z."""
-
+class _PFQFields(NamedTuple):
     upper: tuple[float, ...]
     lower: tuple[float, ...]
     z: float
 
-    def __init__(self, upper: Sequence[float], lower: Sequence[float], z: float):
-        object.__setattr__(self, "upper", tuple(map(float, upper)))
-        object.__setattr__(self, "lower", tuple(map(float, lower)))
-        object.__setattr__(self, "z", float(z))
+
+class PFQSpec(_PFQFields):
+    """One generalized hypergeometric value: upper/lower parameter lists and z."""
+
+    __slots__ = ()
+
+    def __new__(cls, upper: Sequence[float], lower: Sequence[float], z: float) -> PFQSpec:
+        return super().__new__(cls, tuple(map(float, upper)), tuple(map(float, lower)), float(z))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: float
     abs_err_est: float
     terms_used: int
@@ -104,9 +103,9 @@ def is_nonpositive_integer(x: float, within: float = INTEGER_SNAP) -> bool:
 
     The default treats x as an integer up to rounding; the catalog passes its
     wider pole distance to reject parameters near a gamma or psi pole.
-    False for NaN.
+    False for NaN and for +-inf.
     """
-    return x < 0.5 and abs(x - round(x)) < within
+    return -math.inf < x < 0.5 and abs(x - round(x)) < within
 
 
 def unity_margin(spec: PFQSpec) -> float:

@@ -22,6 +22,7 @@ from .series import PFQSpec, eval_pfq, is_nonpositive_integer
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _MAX_EXP_ARG = 709.0
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # math.exp overflows past it
 
 # Asymptotic digamma: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n).
 _DIGAMMA_ASYMPTOTIC = (
@@ -36,6 +37,8 @@ _DIGAMMA_ASYMPTOTIC = (
 
 
 def _check_pole(x: float) -> None:
+    if math.isinf(x):  # a NaN passes through to a NaN value
+        raise DomainError(f"gamma family requires a finite argument, got x = {x}")
     if is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
 
@@ -152,8 +155,9 @@ def lower_incomplete_gamma(a: float, z: float) -> float:
     overflows, the value is Gamma(a) - Gamma(a, z) with Gamma(a, z) from its
     continued fraction (_upper_gamma_fraction); an overflowing Gamma(a)
     raises OverflowError.  Where z^a alone overflows, the prefactor
-    z^a e^{-z} is formed in log space; a prefactor or value past the double
-    range raises OverflowError.
+    z^a e^{-z} is formed in log space, and where that overflows too, log of
+    the sum joins its exponent; a value past the double range raises
+    OverflowError.
     """
     a = float(a)
     z = float(z)
@@ -178,7 +182,12 @@ def lower_incomplete_gamma(a: float, z: float) -> float:
             try:
                 return z**a * decay * total
             except OverflowError:
-                value = math.exp(a * math.log(z) - z) * total
+                log_prefactor = a * math.log(z) - z
+                try:
+                    value = math.exp(log_prefactor) * total
+                except OverflowError:  # so does the prefactor: fold the sum into the exponent
+                    log_value = log_prefactor + math.log(total)
+                    value = math.exp(log_value) if log_value <= _LOG_DOUBLE_MAX else math.inf
                 if not math.isfinite(value):
                     raise OverflowError(f"lower incomplete gamma({a}, {z}) exceeds double range")
                 return value

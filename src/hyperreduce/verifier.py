@@ -7,13 +7,9 @@ report.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import catalog
 from .catalog import ReductionRequest
@@ -38,14 +34,12 @@ ORACLE_NON_CONVERGENT = "OracleNonConvergent"
 DOMAIN_REJECTED = "DomainRejected"
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     case_id: str
     request: ReductionRequest
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     entry_id: str
     request: ReductionRequest
@@ -63,8 +57,7 @@ class CaseResult:
         return self.failure_kind in (ORACLE_NON_CONVERGENT, DOMAIN_REJECTED)
 
 
-@dataclass(frozen=True)
-class EntrySummary:
+class EntrySummary(NamedTuple):
     entry_id: str
     passed: int
     failed: int
@@ -73,12 +66,17 @@ class EntrySummary:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     seed: int
     cases_per_entry: int
     summaries: tuple[EntrySummary, ...]
-    results: tuple[CaseResult, ...] = field(repr=False)
+    results: tuple[CaseResult, ...]
+
+    def __repr__(self) -> str:  # without the per-case results
+        return (
+            f"Report(seed={self.seed!r}, cases_per_entry={self.cases_per_entry!r}, "
+            f"summaries={self.summaries!r})"
+        )
 
     @property
     def failures(self) -> list[CaseResult]:
@@ -208,6 +206,8 @@ def _result_row(result: CaseResult) -> dict:
 
 
 def report_to_jsonl(report: Report) -> str:
+    import json  # the serializers import json and csv when called, not with the package
+
     return "\n".join(json.dumps(_result_row(r)) for r in report.results) + "\n"
 
 
@@ -237,6 +237,10 @@ _CSV_COLUMNS = ("case_id", "id", "params", "z", "lhs", "rhs", "rel_err", "pass",
 
 
 def report_to_csv(report: Report) -> str:
+    import csv
+    import io
+    import json
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS)
     writer.writeheader()

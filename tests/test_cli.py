@@ -227,10 +227,21 @@ def test_reduce_check_passes_when_pochhammer_overflows(capsys):
 
 # Runs cli.main on each command in a fresh interpreter and prints, after the
 # package import and after each command, its exit code and whether NumPy has
-# been imported.
+# been imported.  First it asserts that importing the package loads neither
+# the dataclasses machinery nor the serializers' json and csv, and that the
+# serializers then still work.
 _NUMPY_PROBE = """
-import contextlib, io, json, sys
+import sys
 sys.path.insert(0, sys.argv[1])
+import hyperreduce
+from hyperreduce import verifier
+loaded = [m for m in ("dataclasses", "inspect", "json", "csv") if m in sys.modules]
+assert not loaded, loaded
+request = hyperreduce.ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 1}, 0.3)
+report = verifier.Report(0, 1, (), (verifier.run_case(verifier.VerificationCase("c", request)),))
+assert verifier.report_to_jsonl(report).startswith('{"case_id": "c", "id": "F21Contiguous"')
+assert verifier.report_to_csv(report).startswith("case_id,id,params,z,lhs,rhs,rel_err,pass,failure_kind")
+import contextlib, io, json
 import hyperreduce.cli
 steps = [["import", None, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[2]):

@@ -93,6 +93,14 @@ def test_psi_sum_alternating():
 # -- Bateman recursion -------------------------------------------------------
 
 
+def test_closed_forms_reject_minus_infinity():
+    # Bateman's G and psi of -inf once raised OverflowError from round(-inf).
+    with pytest.raises(DomainError):
+        bateman_next(-math.inf, 2)
+    with pytest.raises(DomainError):
+        psi_sum_closed(-math.inf, 1.0, 2)
+
+
 def test_bateman_next_base():
     # G(1) = ln 2 and G(1) + G(2) = 1 force G(2) = 1 - ln 2.
     assert bateman_next(1.0, 0) == pytest.approx(1.0 - math.log(2.0), rel=1e-12)

@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from hyperreduce.catalog import POLE_DIST
 from hyperreduce.errors import (
     DivergentSeriesError,
     DomainError,
@@ -25,8 +26,10 @@ from hyperreduce.series import (
     EvalResult,
     PFQSpec,
     Status,
+    INTEGER_SNAP,
     _circle_partial_sums,
     eval_pfq,
+    is_nonpositive_integer,
     terminating_order,
     unity_margin,
 )
@@ -107,6 +110,33 @@ def test_differentiation_identity():
             * eval_pfq(PFQSpec([g + 1.0] + a, [g + 1.0 - n] + b, z)).value
         )
         assert rhs == pytest.approx(oracle, rel=1e-6)
+
+
+def _pole_rule_before_infinities(x, within):
+    return x < 0.5 and abs(x - round(x)) < within
+
+
+def test_nonpositive_integer_rule_unchanged_on_finite_input():
+    # Deciding +-inf must not move a finite verdict: the rule is compared with
+    # its former formula on both sides of every boundary and at random.
+    values = [0.5, math.nextafter(0.5, -math.inf), 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+    for n in range(0, -6, -1):
+        for d in (INTEGER_SNAP, POLE_DIST):
+            for x in (n + d, n - d):
+                values += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    rng = np.random.default_rng(31)
+    values += [float(x) for x in rng.uniform(-40.0, 2.0, 5000)]
+    values += [float(x) for x in rng.integers(-40, 1, 5000) + rng.normal(0.0, 0.05, 5000)]
+    for x in values:
+        for within in (INTEGER_SNAP, POLE_DIST):
+            assert is_nonpositive_integer(x, within) is _pole_rule_before_infinities(x, within)
+
+
+def test_nonpositive_integer_rule_rejects_infinities():
+    for x in (-math.inf, math.inf, math.nan):
+        assert is_nonpositive_integer(x) is False
+        assert is_nonpositive_integer(x, 0.05) is False
+    assert terminating_order(PFQSpec([-math.inf], [1.0], 0.5)) is None
 
 
 def test_terminating_order():

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperreduce.catalog import POLE_DIST
@@ -60,6 +61,14 @@ def test_nan_is_not_a_pole():
     assert not is_nonpositive_integer(math.nan)
     assert math.isnan(ln_gamma(math.nan)[0])
     assert math.isnan(digamma(math.nan))
+
+
+@pytest.mark.parametrize("x", [-math.inf, math.inf])
+def test_gamma_family_rejects_infinite_argument(x):
+    # round(-inf) raises OverflowError, so -inf used to escape as one.
+    for fn in (gamma_fn, ln_gamma, digamma):
+        with pytest.raises(DomainError):
+            fn(x)
 
 
 def test_ln_gamma_sign():
@@ -335,3 +344,23 @@ def test_lower_incomplete_gamma_numpy_floats_do_not_warn():
         value = lower_incomplete_gamma(np.float64(0.001), np.float64(708.0))
     assert type(value) is float
     assert value == lower_incomplete_gamma(0.001, 708.0) == 999.4237724845954
+
+
+# a in [170, 180], where z^a e^{-z} can overflow while the value is still a
+# double (175, 110 gives 4.4e307): there log of the sum joins the prefactor's
+# exponent.  Against mpmath at 40 digits over 20 000 random pairs (z
+# log-uniform in [1, 700]) the worst relative error was 1.9e-13, at a = 170.2,
+# z = 492.6, where only z^a overflows; the bound is 2 times that.  A value past
+# the double range raises.
+@_mp_settings
+@given(a=st.floats(170.0, 180.0), z=st.floats(0.0, math.log(700.0)).map(math.exp))
+@example(a=175.0, z=110.0)
+@example(a=180.0, z=200.0)
+def test_lower_incomplete_gamma_prefactor_overflow_against_mpmath(a, z):
+    with mpmath.workdps(40):
+        ref = mpmath.gammainc(a, 0, z)
+        if ref > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                lower_incomplete_gamma(a, z)
+        else:
+            assert _rel_err(lower_incomplete_gamma(a, z), ref) <= 3.75e-13
