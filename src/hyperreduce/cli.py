@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Sequence
 
@@ -47,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="sum a pFq series directly")
-    p_eval.add_argument("--upper", default="", help="comma-separated upper parameters")
-    p_eval.add_argument("--lower", default="", help="comma-separated lower parameters")
+    for name in ("upper", "lower"):  # argparse reads a bare "-3,0.5" as an option
+        p_eval.add_argument(f"--{name}", default="", help=f"comma-separated {name} "
+                            f"parameters; write --{name}=-3,0.5 when the first is negative")
     p_eval.add_argument("--z", type=float, required=True)
     p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_eval.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
@@ -154,6 +154,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         entries = [catalog.get_entry(entry_id).id for entry_id in ids]
     report = verifier.run_suite(entries, args.cases, args.seed)
     if args.format == "json":
+        import json  # only this format needs it; a one-shot CLI process skips the import
+
         payload = {
             "summary": verifier.report_summary(report),
             "results": [verifier._result_row(r) for r in report.results],

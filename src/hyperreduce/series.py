@@ -9,9 +9,9 @@ once per shape (p, q), on first use: the parameters are unpacked into locals
 and each factor is one expression, in the order of the per-parameter
 recurrence, so no loop over the parameters runs per term and every term is
 bitwise the recurrence's.  The index k is carried also as a float, exact
-below 2^53, so each factor is float arithmetic throughout; |t_k| is taken
-once per term, and a comparison with the largest finite double serves as the
-finiteness test.
+below 2^53, so each factor is float arithmetic throughout; |t_k| and |total|
+are taken by a comparison, as is the finiteness test (against the largest
+finite double), so no builtin is called per term.
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -88,7 +88,7 @@ class PFQSpec(_PFQFields):
     __slots__ = ()
 
     def __new__(cls, upper: Sequence[float], lower: Sequence[float], z: float) -> PFQSpec:
-        return super().__new__(cls, tuple(map(float, upper)), tuple(map(float, lower)), float(z))
+        return tuple.__new__(cls, (tuple(map(float, upper)), tuple(map(float, lower)), float(z)))
 
 
 class EvalResult(NamedTuple):
@@ -103,9 +103,10 @@ def is_nonpositive_integer(x: float, within: float = INTEGER_SNAP) -> bool:
 
     The default treats x as an integer up to rounding; the catalog passes its
     wider pole distance to reject parameters near a gamma or psi pole.
-    False for NaN and for +-inf.
+    False for NaN and for +-inf.  The bound x < 0.5 is tested first, so a
+    positive x costs one comparison.
     """
-    return -math.inf < x < 0.5 and abs(x - round(x)) < within
+    return x < 0.5 and x > -math.inf and abs(x - round(x)) < within
 
 
 def unity_margin(spec: PFQSpec) -> float:
@@ -129,9 +130,12 @@ def eval_pfq(
     Stops when the running term stays below tol * |partial sum| for three
     consecutive terms (CONVERGED), when an upper parameter terminates the
     series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED).  The
-    terms are summed by a loop generated for the shape (len(upper),
-    len(lower)) and cached (see _off_circle_loop); it forms each term
-    bitwise as the per-parameter recurrence does.
+    spec is checked once, in this order: finiteness, one loop over the upper
+    parameters for the terminating order and one over the lower ones for a
+    pole, then the convergence rules.  The terms are summed by a loop
+    generated for the shape (len(upper), len(lower)) and cached (see
+    _off_circle_loop); it forms each term bitwise as the per-parameter
+    recurrence does.
 
     On the unit circle (p = q + 1, |z| = 1, not terminating) the small-term
     rule does not apply.  The partial sums at N = 16 * 2^i terms feed a
@@ -155,25 +159,27 @@ def eval_pfq(
         raise ValueError("max_terms must be positive")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not all(map(math.isfinite, (*spec.upper, *spec.lower, spec.z))):
+    upper, lower, z = spec
+    if not all(map(math.isfinite, (*upper, *lower, z))):
         raise DomainError(f"parameters and z must be finite, got {spec}")
 
-    p, q, z = len(spec.upper), len(spec.lower), spec.z
-    n_stop = terminating_order(spec)
-
+    # The terminating order: the smallest m with some upper parameter -m.
+    n_stop = None
+    for a in upper:
+        if is_nonpositive_integer(a) and (n_stop is None or -round(a) < n_stop):
+            n_stop = -round(a)
     # A lower parameter at a non-positive integer -m poisons the term at
     # index m+1; it is only tolerable if the series terminates strictly first.
-    for b in spec.lower:
+    for b in lower:
         if is_nonpositive_integer(b) and (n_stop is None or 1 - round(b) <= n_stop):
             raise LowerPoleError(
                 f"lower parameter {b} hits a pole before the series terminates"
             )
 
+    p, q = len(upper), len(lower)
     if n_stop is None:
         if p > q + 1:
-            raise DivergentSeriesError(
-                f"{p}F{q} has zero radius of convergence for z != 0"
-            )
+            raise DivergentSeriesError(f"{p}F{q} has zero radius of convergence for z != 0")
         if p == q + 1 and abs(z) > 1.0:
             raise DivergentSeriesError(f"{p}F{q} series diverges for |z| = {abs(z)} > 1")
         if p == q + 1 and abs(z) == 1.0:
@@ -183,33 +189,23 @@ def eval_pfq(
             return _extrapolate_on_circle(spec, margin, max_terms, tol)
 
     # The loop stops at n_stop only when the series terminates within the cap.
-    if n_stop is not None and n_stop < max_terms:
-        limit, status = n_stop, Status.TERMINATED
-    else:
-        limit, status = max_terms, Status.MAX_TERMS_REACHED
+    terminates = n_stop is not None and n_stop < max_terms
     total, abs_sum, term, prev, k, converged = _off_circle_loop(p, q)(
-        spec.upper, spec.lower, z, limit, tol
+        upper, lower, z, n_stop if terminates else max_terms, tol
     )
-    if converged:
-        status = Status.CONVERGED
-
     rounding = _EPS * abs_sum
-    if status is Status.TERMINATED:
-        err = rounding
-    elif status is Status.CONVERGED:
+    if converged:
         # Geometric tail bound from the last ratio |t_k / t_{k-1}|; for slowly
         # decaying (algebraic) tails the ratio is near 1 and the bound
         # inflates, which is the conservative direction.  A zero t_{k-1}
         # makes t_k zero too, and the ratio 0.
-        ratio = abs(term) / abs(prev) if prev != 0.0 else 0.0
-        if ratio < 0.999999:
-            tail = abs(term) * ratio / (1.0 - ratio)
-        else:
-            tail = abs(term) * k
-        err = max(tail, 3.0 * abs(term)) + rounding
-    else:
-        err = abs(term) * k + rounding
-    return EvalResult(value=total, abs_err_est=err, terms_used=k, status=status)
+        mag = abs(term)
+        ratio = mag / abs(prev) if prev != 0.0 else 0.0
+        tail = mag * ratio / (1.0 - ratio) if ratio < 0.999999 else mag * k
+        return EvalResult(total, max(tail, 3.0 * mag) + rounding, k, Status.CONVERGED)
+    if terminates:
+        return EvalResult(total, rounding, k, Status.TERMINATED)
+    return EvalResult(total, abs(term) * k + rounding, k, Status.MAX_TERMS_REACHED)
 
 
 # The off-circle loop, written out for one shape (p, q).  Each term is
@@ -218,7 +214,8 @@ def eval_pfq(
 # floats: an int below 2^53 converts to float exactly, so every factor is
 # bitwise the one that recurrence gives with the int k, and the arithmetic is
 # float with float throughout.  "not mag <= MAX_FINITE" is true exactly for
-# +-inf and NaN, as "not isfinite(term)" is.
+# +-inf and NaN, as "not isfinite(term)" is.  "t if t >= 0.0 else -t" is
+# abs(t) but for t = -0.0, which adds nothing to abs_sum >= 1 and compares as 0.
 _OFF_CIRCLE_SOURCE = """\
 def _sum(upper, lower, z, limit, tol):
     ({uppers}) = upper
@@ -234,7 +231,7 @@ def _sum(upper, lower, z, limit, tol):
         prev = term
         x1 = x + 1.0
         term *= {factor}
-        mag = abs(term)
+        mag = term if term >= 0.0 else -term
         if not mag <= MAX_FINITE:
             raise OverflowError("series term overflowed to non-finite value")
         k += 1
@@ -245,7 +242,7 @@ def _sum(upper, lower, z, limit, tol):
         comp = (t - total) - y
         total = t
         abs_sum += mag
-        if mag <= tol * abs(total):
+        if mag <= tol * (total if total >= 0.0 else -total):
             streak += 1
             if streak >= SMALL_TERM_STREAK:
                 return total, abs_sum, term, prev, k, True
@@ -264,10 +261,11 @@ def _off_circle_loop(p: int, q: int):
     two terms, the number k of terms after t_0, and whether the small-term
     rule stopped the sum.  The parameters are unpacked into locals u0 ...,
     l0 ..., so no loop over them runs per term.  The loop carries k also as
-    the floats x = k and x1 = k + 1, takes mag = |t_k| once for sum |t_k|
-    and the small-term test, and raises OverflowError when not
-    mag <= MAX_FINITE (an infinite or NaN term).  The source holds only names
-    built from p and q.
+    the floats x = k and x1 = k + 1, takes mag = |t_k| once, by a
+    comparison, for sum |t_k| and the small-term test, and raises
+    OverflowError when not mag <= MAX_FINITE (an infinite or NaN term); it
+    calls no builtin per term.  The source holds only names built from p
+    and q.
     """
     uppers = [f"u{i}" for i in range(p)]
     lowers = [f"l{j}" for j in range(q)]

@@ -37,7 +37,7 @@ _DIGAMMA_ASYMPTOTIC = (
 
 
 def _check_pole(x: float) -> None:
-    if math.isinf(x):  # a NaN passes through to a NaN value
+    if not math.isfinite(x):
         raise DomainError(f"gamma family requires a finite argument, got x = {x}")
     if is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")

@@ -237,12 +237,13 @@ import hyperreduce
 from hyperreduce import verifier
 loaded = [m for m in ("dataclasses", "inspect", "json", "csv") if m in sys.modules]
 assert not loaded, loaded
+import hyperreduce.cli
+assert "json" not in sys.modules  # only verify --format json imports it
 request = hyperreduce.ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 1}, 0.3)
 report = verifier.Report(0, 1, (), (verifier.run_case(verifier.VerificationCase("c", request)),))
 assert verifier.report_to_jsonl(report).startswith('{"case_id": "c", "id": "F21Contiguous"')
 assert verifier.report_to_csv(report).startswith("case_id,id,params,z,lhs,rhs,rel_err,pass,failure_kind")
 import contextlib, io, json
-import hyperreduce.cli
 steps = [["import", None, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -177,6 +177,15 @@ def test_lower_pole_rules():
     # Pole at or before termination: refuse.
     with pytest.raises(LowerPoleError):
         eval_pfq(PFQSpec([-5.0, 1.0], [-2.0], 0.3))
+    # Of two terminating uppers the smaller order ends the sum.
+    res = eval_pfq(PFQSpec([-5.0, -2.0], [1.5], 0.3))
+    assert (res.status, res.terms_used) == (Status.TERMINATED, 2)
+    # The pole just past the termination (term index 3 > 2) is never formed.
+    res = eval_pfq(PFQSpec([-2.0, 1.0], [-2.0], 0.3))
+    assert (res.status, res.terms_used) == (Status.TERMINATED, 2)
+    # The pole at the termination (term index 2) is formed.
+    with pytest.raises(LowerPoleError):
+        eval_pfq(PFQSpec([-2.0, 1.0], [-1.0], 0.3))
 
 
 def test_max_terms_reached():
@@ -236,6 +245,8 @@ def test_result_is_frozen():
         PFQSpec([1.0], [2.0], math.nan),
         PFQSpec([math.nan], [2.0], 0.5),
         PFQSpec([1.0], [math.inf], 0.5),
+        # Finiteness is checked before the lower pole rule.
+        PFQSpec([math.nan], [-1.0], 0.3),
     ],
 )
 def test_non_finite_spec_rejected(spec):
@@ -342,6 +353,8 @@ _off_circle_spec = st.integers(0, 5).flatmap(
     max_terms=DEFAULT_MAX_TERMS,
     tol=DEFAULT_TOL,
 )
+# t_k = z^k: t_2 underflows to +0.0 and t_3 to -0.0.
+@example(drawn=([1.0, 1.0], [1.0]), z=-1e-300, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL)
 def test_generated_loop_matches_per_term_loop(drawn, z, max_terms, tol):
     # Value and estimate bitwise, terms_used, status and the exception type
     # are those of the per-parameter loop.

@@ -187,3 +187,33 @@ def test_unity_entries_seed1_gate():
         assert oracle.value == result.lhs_value
         rhs = result.rhs_value
         assert abs(oracle.value - rhs) <= oracle.abs_err_est + 1e-14 * abs(rhs), result.case_id
+
+
+# The Mismatches of the seed-1 / 200-case run are the oracle's cancellation
+# error, not the closed forms': against mpmath at 40 digits each closed form
+# is within 1e-11 (worst 6.8e-12), while the oracle is off by more than the
+# verifier's tolerance and its own abs_err_est already says so.
+_SEED1_MISMATCHES = [
+    "F21Contiguous-1-0162",
+    *(f"F22IncGamma-1-{i}" for i in ("0007", "0086", "0087", "0119", "0120", "0173")),
+    *(f"F32P0-1-{i}" for i in ("0018", "0087", "0176")),
+]
+
+
+def test_seed1_mismatches_are_oracle_cancellation():
+    import mpmath
+
+    report = verifier.run_suite(["F21Contiguous", "F22IncGamma", "F32P0"], 200, 1)
+    failures = report.failures
+    assert [r.case_id for r in failures] == _SEED1_MISMATCHES
+    for r in failures:
+        spec = catalog.lhs_spec(r.request)
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyper(list(spec.upper), list(spec.lower), spec.z))
+        oracle = eval_pfq(spec, tol=verifier.ORACLE_TOL_INTERIOR)
+        assert oracle.value == r.lhs_value
+        assert abs(r.rhs_value - ref) <= 1e-11 * abs(ref), r.case_id
+        oracle_err = abs(oracle.value - ref)
+        assert oracle_err > verifier.INTERIOR_TOL_REL * abs(ref), r.case_id
+        assert oracle.abs_err_est >= oracle_err, r.case_id
+        assert oracle.abs_err_est > verifier.INTERIOR_TOL_REL * abs(oracle.value), r.case_id
