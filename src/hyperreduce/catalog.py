@@ -46,9 +46,10 @@ class CatalogEntry:
     ``p`` is the flattened parameter dict: every scalar (a list parameter is
     a tuple of floats), every shift, and ``z`` (``fixed_z`` when it is set).
 
-    - ``rhs`` takes its arguments positionally: the scalars in
-      ``scalar_names`` order, then the shifts in ``shift_names`` order, then
-      ``z`` when ``fixed_z`` is None.  It returns ``(value, magnitude)``.
+    - ``rhs`` states the signature, which ``_register`` reads: its parameter
+      names are the request keys, scalars (annotated ``float``, or
+      ``Sequence[float]`` for a list), then shifts (``int``), then ``z`` when
+      ``fixed_z`` is None.  It returns ``(value, magnitude)``.
     - The domain is checked in one place for every caller (``reduce``,
       ``lhs_spec`` and ``sample_request``).  Shared rules come first: each
       name in ``positive`` must be > 0; each list parameter must be pairwise
@@ -115,22 +116,28 @@ class CatalogEntry:
 _ENTRIES: dict[str, CatalogEntry] = {}
 
 
-def _register(
-    id: str,
-    scalars: tuple[str, ...],
-    shifts: tuple[str, ...],
-    *,
-    lists: tuple[str, ...] = (),
-    **fields,
-) -> None:
-    _ENTRIES[id] = CatalogEntry(
-        id=id,
-        ordinal=len(_ENTRIES),
-        scalar_names=scalars,
-        list_names=lists,
-        shift_names=shifts,
-        **fields,
-    )
+def _rhs_signature(rhs: Callable, fixed_z: float | None) -> tuple[tuple[str, ...], ...]:
+    """(scalar_names, list_names, shift_names) from rhs's parameters (see CatalogEntry)."""
+    names = rhs.__code__.co_varnames[: rhs.__code__.co_argcount]
+    if (fixed_z is None) != (names[-1:] == ("z",)):
+        raise TypeError(f"{rhs.__name__}: z must be the last parameter if it is free, else absent")
+    if fixed_z is None:
+        names = names[:-1]
+    kinds: dict = {"float": [], "Sequence[float]": [], "int": []}
+    for name in names:
+        kind = rhs.__annotations__.get(name)
+        if kind not in kinds or name == "z" or (kind != "int" and kinds["int"]):
+            raise TypeError(f"{rhs.__name__}: parameter {name!r} must be annotated float, "
+                            "Sequence[float] or int, with the int shifts after the rest")
+        kinds[kind].append(name)
+    shifts = tuple(kinds["int"])
+    return names[: len(names) - len(shifts)], tuple(kinds["Sequence[float]"]), shifts
+
+
+def _register(id: str, **fields) -> None:
+    scalars, lists, shifts = _rhs_signature(fields["rhs"], fields.get("fixed_z"))
+    _ENTRIES[id] = CatalogEntry(id=id, ordinal=len(_ENTRIES), scalar_names=scalars,
+                                list_names=lists, shift_names=shifts, **fields)
 
 
 def catalog_ids() -> list[str]:
@@ -181,7 +188,7 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
         params[name] = value
     for name in entry.shift_names:
         shift = req.shifts[name]
-        if int(shift) != shift or int(shift) < 0:
+        if not (float(shift).is_integer() and int(shift) == shift >= 0):
             raise ValueError(f"{entry.id}: shift {name!r} must be a non-negative integer")
         params[name] = int(shift)
     if entry.fixed_z is not None:
@@ -313,8 +320,6 @@ def _z_in_unit_disk(p: dict) -> None:
 
 _register(
     "F32HalfBateman",
-    ("a", "c"),
-    ("n",),
     lhs=lambda p: PFQSpec([p["a"], p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], p["z"]),
     rhs=rd.f32_half_bateman_rhs,
     positive=("a", "c"),
@@ -329,8 +334,6 @@ _register(
 
 _register(
     "F21HalfBateman",
-    ("a",),
-    ("n",),
     lhs=lambda p: PFQSpec([p["a"], p["a"] + p["n"]], [p["a"] + 1.0], p["z"]),
     rhs=rd.f21_half_bateman_rhs,
     positive=("a",),
@@ -345,8 +348,6 @@ _register(
 
 _register(
     "F21NegUnit",
-    ("a",),
-    ("n",),
     lhs=lambda p: PFQSpec([-float(p["n"]), p["a"]], [p["a"] + 1.0], p["z"]),
     rhs=rd.f21_neg_unit_bateman_rhs,
     positive=("a",),
@@ -362,8 +363,6 @@ _register(
 
 _register(
     "F32HalfPlusM",
-    ("a", "b", "c"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"] + p["m"], p["c"] + p["n"]],
         [(p["a"] + p["b"] + 1.0) / 2.0, p["c"]],
@@ -407,8 +406,6 @@ def _f32_half_minus_draw(rng: np.random.Generator) -> dict:
 
 _register(
     "F32HalfMinusM",
-    ("a", "b", "c"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"] - p["m"], p["c"] + p["n"]],
         [(p["a"] + p["b"] + 1.0) / 2.0, p["c"]],
@@ -438,8 +435,6 @@ def _f32_unity_jl_check(p: dict) -> None:
 
 _register(
     "F32UnityJL",
-    ("a", "b"),
-    (),
     lhs=lambda p: PFQSpec([p["a"], p["b"], p["b"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]),
     rhs=rd.f32_unity_jl_rhs,
     positive=("b",),
@@ -467,8 +462,6 @@ def _f43_unity_check(p: dict) -> None:
 
 _register(
     "F43Unity",
-    ("a", "b", "c"),
-    ("n",),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"], p["b"], p["c"] + p["n"]],
         [p["b"] + 1.0, p["b"] + 1.0, p["c"]],
@@ -500,8 +493,6 @@ def _f32_unity_bb_check(p: dict) -> None:
 
 _register(
     "F32UnityBB",
-    ("a", "b"),
-    ("n",),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"], p["b"] + p["n"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]
     ),
@@ -526,8 +517,6 @@ def _f43_unity_nm_check(p: dict) -> None:
 
 _register(
     "F43UnityNM",
-    ("a", "b", "c"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["a"], p["b"], p["b"] + p["n"], p["c"] + p["m"]],
         [p["b"] + 1.0, p["b"] + 1.0, p["c"]],
@@ -557,8 +546,6 @@ _register(
 
 _register(
     "F01Bessel",
-    ("b",),
-    (),
     lhs=lambda p: PFQSpec([], [p["b"]], p["z"]),
     rhs=rd.f01_bessel_rhs,
     positive=("b", "z"),
@@ -572,8 +559,6 @@ _register(
 
 _register(
     "F12BesselI",
-    ("b", "c"),
-    ("n",),
     lhs=lambda p: PFQSpec([p["c"] + p["n"]], [p["b"], p["c"]], p["z"]),
     rhs=rd.f12_bessel_i_rhs,
     positive=("b", "c", "z"),
@@ -592,8 +577,6 @@ _register(
 
 _register(
     "F23BesselI",
-    ("b", "c", "d"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["c"] + p["n"], p["d"] + p["m"]], [p["b"], p["c"], p["d"]], p["z"]
     ),
@@ -616,8 +599,6 @@ _register(
 
 _register(
     "F12BesselJ",
-    ("b", "c"),
-    ("n",),
     lhs=lambda p: PFQSpec([p["c"] + p["n"]], [p["b"], p["c"]], -p["z"]),
     rhs=rd.f12_bessel_j_rhs,
     positive=("b", "c", "z"),
@@ -636,8 +617,6 @@ _register(
 
 _register(
     "F23BesselJ",
-    ("b", "c", "d"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["c"] + p["n"], p["d"] + p["m"]], [p["b"], p["c"], p["d"]], -p["z"]
     ),
@@ -662,8 +641,6 @@ _register(
 
 _register(
     "F11IncGamma",
-    ("a",),
-    (),
     lhs=lambda p: PFQSpec([p["a"]], [p["a"] + 1.0], -p["z"]),
     rhs=rd.f11_inc_gamma_rhs,
     positive=("a", "z"),
@@ -677,8 +654,6 @@ _register(
 
 _register(
     "F22IncGamma",
-    ("a", "c"),
-    ("n",),
     lhs=lambda p: PFQSpec([p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], -p["z"]),
     rhs=rd.f22_inc_gamma_rhs,
     positive=("a", "c", "z"),
@@ -697,8 +672,6 @@ _register(
 
 _register(
     "F11Laguerre",
-    ("a",),
-    ("n",),
     lhs=lambda p: PFQSpec([p["a"] + p["n"]], [p["a"]], p["z"]),
     rhs=rd.f11_laguerre_rhs,
     positive=("a",),
@@ -712,8 +685,6 @@ _register(
 
 _register(
     "F22Laguerre",
-    ("a", "b"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec([p["a"] + p["n"], p["b"] + p["m"]], [p["a"], p["b"]], p["z"]),
     rhs=rd.f22_laguerre_rhs,
     positive=("a", "b"),
@@ -733,8 +704,6 @@ _register(
 
 _register(
     "F33Laguerre",
-    ("a", "b", "c"),
-    ("n", "m", "k"),
     lhs=lambda p: PFQSpec(
         [p["a"] + p["n"], p["b"] + p["m"], p["c"] + p["k"]],
         [p["a"], p["b"], p["c"]],
@@ -763,8 +732,6 @@ _register(
 
 _register(
     "Mp1FmIncBeta",
-    ("a", "b"),
-    (),
     lhs=lambda p: PFQSpec(
         list(p["a"]) + [p["b"]], [al + 1.0 for al in p["a"]], p["z"]
     ),
@@ -780,7 +747,6 @@ _register(
         "incomplete beta values, pairwise-distinct a's"
     ),
     constraints="a's > 0 and pairwise distinct; 0 < z < 1",
-    lists=("a",),
 )
 
 def _pp2_lhs(p: dict) -> PFQSpec:
@@ -793,8 +759,6 @@ def _pp2_lhs(p: dict) -> PFQSpec:
 
 _register(
     "Pp2Fp1IncBeta",
-    ("a", "b", "c"),
-    ("n",),
     lhs=_pp2_lhs,
     rhs=rd.pp2_inc_beta_rhs,
     positive=("c",),
@@ -811,7 +775,6 @@ _register(
         "incomplete-beta partial fractions"
     ),
     constraints="a's > 0 pairwise distinct; c > 0; 0 < z < 1",
-    lists=("a",),
 )
 
 
@@ -825,8 +788,6 @@ def _pp2_literature_check(p: dict) -> None:
 
 _register(
     "Pp2Fp1Literature",
-    ("a", "b", "c"),
-    ("n",),
     lhs=_pp2_lhs,
     rhs=rd.pp2_literature_rhs,
     positive=("c",),
@@ -847,13 +808,10 @@ _register(
         "derivative of z^g B_z(a,b) as found in earlier literature"
     ),
     constraints="a's > max(0, n-1) pairwise distinct; c > 0; 0 < z < 1",
-    lists=("a",),
 )
 
 _register(
     "F21Contiguous",
-    ("b", "c"),
-    ("n",),
     lhs=lambda p: PFQSpec([p["b"], p["c"] + p["n"]], [p["c"]], p["z"]),
     rhs=rd.f21_contiguous_rhs,
     positive=("c",),
@@ -880,8 +838,6 @@ def _pp2_unity_check(p: dict) -> None:
 
 _register(
     "Pp2Fp1Unity",
-    ("a", "b", "c"),
-    ("n",),
     lhs=_pp2_lhs,
     rhs=rd.pp2_unity_rhs,
     positive=("c",),
@@ -900,7 +856,6 @@ _register(
     ),
     constraints="a's > 0 pairwise distinct; c > 0; b < 1; convergent at z = 1",
     fixed_z=1.0,
-    lists=("a",),
 )
 
 
@@ -921,8 +876,6 @@ def _pp3_h_check(p: dict) -> None:
 
 _register(
     "Pp3Fp2H",
-    ("a", "b", "c", "d"),
-    ("n", "m"),
     lhs=_pp3_lhs,
     rhs=rd.pp3_h_rhs,
     positive=("c", "d"),
@@ -945,13 +898,10 @@ _register(
         "m-th derivative of z^g B_z(a,b)"
     ),
     constraints="a's > max(0, m-1) pairwise distinct; c, d > 0; 0 < z < 1",
-    lists=("a",),
 )
 
 _register(
     "Pp3Fp2IncBeta",
-    ("a", "b", "c", "d"),
-    ("n", "m"),
     lhs=_pp3_lhs,
     rhs=rd.pp3_inc_beta_rhs,
     positive=("c", "d"),
@@ -970,7 +920,6 @@ _register(
         "binomial sum of incomplete-beta partial fractions"
     ),
     constraints="a's > 0 pairwise distinct; c, d > 0; 0 < z < 1",
-    lists=("a",),
 )
 
 
@@ -985,8 +934,6 @@ def _pp3_unity_check(p: dict) -> None:
 
 _register(
     "Pp3Fp2Unity",
-    ("a", "b", "c", "d"),
-    ("n", "m"),
     lhs=_pp3_lhs,
     rhs=rd.pp3_unity_rhs,
     positive=("c", "d"),
@@ -1010,13 +957,10 @@ _register(
         "a's > 0 pairwise distinct; c, d > 0; b < 1 - max(n, m); convergent at z = 1"
     ),
     fixed_z=1.0,
-    lists=("a",),
 )
 
 _register(
     "F32P0",
-    ("b", "c", "d"),
-    ("n", "m"),
     lhs=lambda p: PFQSpec(
         [p["b"], p["c"] + p["n"], p["d"] + p["m"]], [p["c"], p["d"]], p["z"]
     ),

@@ -34,6 +34,13 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",")]
 
 
+def _parameter_names() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The catalog's scalar and shift names; widest signatures first keeps formula order."""
+    entries = sorted(map(catalog.get_entry, catalog.catalog_ids()), key=lambda e: -len(e.scalar_names))
+    return (tuple(dict.fromkeys(name for e in entries for name in e.scalar_names)),
+            tuple(dict.fromkeys(name for e in entries for name in e.shift_names)))
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,9 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="evaluate a named closed-form reduction")
     p_reduce.add_argument("id", help="reduction identifier (see `catalog`)")
-    for name in ("a", "b", "c", "d"):
+    scalar_names, shift_names = _parameter_names()
+    for name in scalar_names:
         p_reduce.add_argument(f"--{name}", default=None, help=f"parameter {name}")
-    for name in ("n", "m", "k"):
+    for name in shift_names:
         p_reduce.add_argument(f"--{name}", type=int, default=None, help=f"shift {name}")
     p_reduce.add_argument("--z", type=float, default=None)
     p_reduce.add_argument("--check", action="store_true", help="also evaluate the series oracle")
@@ -94,20 +102,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _request_from_args(args: argparse.Namespace) -> ReductionRequest:
     entry = catalog.get_entry(args.id)
+    scalar_names, shift_names = _parameter_names()
     scalars: dict = {}
-    for name in ("a", "b", "c", "d"):
+    for name in scalar_names:
         raw = getattr(args, name)
-        if raw is None:
-            continue
-        if name in entry.list_names:
-            scalars[name] = tuple(_parse_float_list(raw))
-        else:
-            scalars[name] = float(raw)
-    shifts = {
-        name: getattr(args, name)
-        for name in ("n", "m", "k")
-        if getattr(args, name) is not None
-    }
+        if raw is not None:
+            scalars[name] = tuple(_parse_float_list(raw)) if name in entry.list_names else float(raw)
+    shifts = {name: getattr(args, name) for name in shift_names if getattr(args, name) is not None}
     return ReductionRequest(args.id, scalars, shifts, args.z)
 
 
@@ -154,13 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         entries = [catalog.get_entry(entry_id).id for entry_id in ids]
     report = verifier.run_suite(entries, args.cases, args.seed)
     if args.format == "json":
-        import json  # only this format needs it; a one-shot CLI process skips the import
-
-        payload = {
-            "summary": verifier.report_summary(report),
-            "results": [verifier._result_row(r) for r in report.results],
-        }
-        text = json.dumps(payload) + "\n"
+        text = verifier.report_to_json(report)
     elif args.format == "csv":
         text = verifier.report_to_csv(report)
     else:
@@ -174,15 +169,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _signature(entry: catalog.CatalogEntry) -> str:
-    parts = []
-    for name in entry.scalar_names:
-        parts.append(f"{name}=<list>" if name in entry.list_names else f"{name}=<real>")
-    for name in entry.shift_names:
-        parts.append(f"{name}=<int>")
-    if entry.fixed_z is not None:
-        parts.append(f"z fixed at {entry.fixed_z:g}")
-    else:
-        parts.append("z=<real>")
+    parts = [f"{name}=<list>" if name in entry.list_names else f"{name}=<real>"
+             for name in entry.scalar_names]
+    parts += [f"{name}=<int>" for name in entry.shift_names]
+    parts.append("z=<real>" if entry.fixed_z is None else f"z fixed at {entry.fixed_z:g}")
     return ", ".join(parts)
 
 

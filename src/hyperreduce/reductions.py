@@ -5,10 +5,11 @@ integer-shifted parameters).
 
 Every ``*_rhs`` evaluator returns ``(value, magnitude)`` where ``magnitude``
 accumulates the absolute values of the summands, so callers can turn it into
-a cancellation-based error estimate (magnitude * machine epsilon).  The
-``*_rhs`` evaluators assume arguments that ``catalog._validate`` has accepted
-and do not check their formula's domain again; the exported lemmas below them
-check their own input.
+a cancellation-based error estimate (magnitude * machine epsilon).  Their
+parameter names and annotations are the catalog's request keys and kinds (see
+``catalog.CatalogEntry``).  They assume arguments that ``catalog._validate``
+has accepted and do not check their formula's domain again; the exported
+lemmas below them check their own input.
 """
 
 from __future__ import annotations
@@ -346,29 +347,29 @@ def f33_laguerre_rhs(
 # ---------------------------------------------------------------------------
 
 
-def m1m_inc_beta_rhs(a_list: Sequence[float], b: float, z: float) -> tuple[float, float]:
+def m1m_inc_beta_rhs(a: Sequence[float], b: float, z: float) -> tuple[float, float]:
     """(m+1)Fm(b, a_1..a_m; a_1+1..a_m+1; z) as a partial-fraction sum of
     incomplete beta values, pairwise-distinct a's: the n = m = 0 case of
     pp3_inc_beta_rhs, where c and d only enter as (c)_0 = (d)_0 = 1."""
-    return pp3_inc_beta_rhs(a_list, b, 1.0, 1.0, 0, 0, z)
+    return pp3_inc_beta_rhs(a, b, 1.0, 1.0, 0, 0, z)
 
 
 def pp2_inc_beta_rhs(
-    a_list: Sequence[float], b: float, c: float, n: int, z: float
+    a: Sequence[float], b: float, c: float, n: int, z: float
 ) -> tuple[float, float]:
     """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; z) via incomplete betas:
     the m = 0 case of pp3_inc_beta_rhs, where d only enters as (d)_0 = 1."""
-    return pp3_inc_beta_rhs(a_list, b, c, 1.0, n, 0, z)
+    return pp3_inc_beta_rhs(a, b, c, 1.0, n, 0, z)
 
 
 def pp2_literature_rhs(
-    a_list: Sequence[float], b: float, c: float, n: int, z: float
+    a: Sequence[float], b: float, c: float, n: int, z: float
 ) -> tuple[float, float]:
     """Same left-hand side as pp2_inc_beta_rhs but through the n-th derivative
     operator acting on z^g B_z, the formulation found in earlier literature."""
-    pre = z ** (1.0 - c) / pochhammer(c, n) * math.prod(a_list)
+    pre = z ** (1.0 - c) / pochhammer(c, n) * math.prod(a)
     acc = _partial_fraction_sum(
-        a_list, lambda al: h_derivative(n, al, 1.0 - b, n + c - al - 1.0, z)
+        a, lambda al: h_derivative(n, al, 1.0 - b, n + c - al - 1.0, z)
     )
     return pre * acc.total, abs(pre) * acc.magnitude
 
@@ -384,24 +385,24 @@ def f21_contiguous_rhs(b: float, c: float, n: int, z: float) -> tuple[float, flo
 
 
 def pp2_unity_rhs(
-    a_list: Sequence[float], b: float, c: float, n: int
+    a: Sequence[float], b: float, c: float, n: int
 ) -> tuple[float, float]:
     """(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; 1) as a beta-function sum:
     the m = 0 case of pp3_unity_rhs, where d only enters as (d)_0 = 1."""
-    return pp3_unity_rhs(a_list, b, c, 1.0, n, 0)
+    return pp3_unity_rhs(a, b, c, 1.0, n, 0)
 
 
 def pp3_h_rhs(
-    a_list: Sequence[float], b: float, c: float, d: float, n: int, m: int, z: float
+    a: Sequence[float], b: float, c: float, d: float, n: int, m: int, z: float
 ) -> tuple[float, float]:
     """(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; z) through the m-th
     derivative operator acting on z^g B_z."""
-    pre = z ** (1.0 - d) * math.prod(a_list) / pochhammer(d, m)
+    pre = z ** (1.0 - d) * math.prod(a) / pochhammer(d, m)
     total = _Acc()
     for k in range(n + 1):
         coef = binomial(n, k) * pochhammer(b, k) / pochhammer(c, k)
         inner = _partial_fraction_sum(
-            a_list,
+            a,
             lambda al, k=k: h_derivative(m, al + k, 1.0 - b - k, m + d - al - 1.0, z),
         )
         total.add_scaled(coef, inner)
@@ -409,14 +410,14 @@ def pp3_h_rhs(
 
 
 def pp3_inc_beta_rhs(
-    a_list: Sequence[float], b: float, c: float, d: float, n: int, m: int, z: float
+    a: Sequence[float], b: float, c: float, d: float, n: int, m: int, z: float
 ) -> tuple[float, float]:
     """Same left-hand side as pp3_h_rhs, written directly through incomplete
     beta values (the simpler of the two equivalent forms).  Each distinct
     B_z(al + k + s, 1 - b - k - s) is evaluated once per call: the value
     depends on k + s only, and the key is the pair of arguments as computed,
     since (al + k) + s may round apart from al + (k + s)."""
-    pre = math.prod(a_list) / pochhammer(d, m)
+    pre = math.prod(a) / pochhammer(d, m)
     betas: dict[tuple[float, float], float] = {}
 
     def beta(x: float, y: float) -> float:
@@ -435,7 +436,7 @@ def pp3_inc_beta_rhs(
                 * pochhammer(d + k + s, m - s)
             )
             inner = _partial_fraction_sum(
-                a_list,
+                a,
                 lambda al, k=k, s=s: z ** (-al) * beta(al + k + s, 1.0 - b - k - s),
             )
             total.add_scaled(coef, inner)
@@ -443,13 +444,13 @@ def pp3_inc_beta_rhs(
 
 
 def pp3_unity_rhs(
-    a_list: Sequence[float], b: float, c: float, d: float, n: int, m: int
+    a: Sequence[float], b: float, c: float, d: float, n: int, m: int
 ) -> tuple[float, float]:
     """(p+3)F(p+2)(...; 1) as a pure beta-function partial-fraction sum;
     requires b < 1 - max(n, m)."""
-    pre = math.prod(a_list) / (pochhammer(d, m) * pochhammer(c, n))
+    pre = math.prod(a) / (pochhammer(d, m) * pochhammer(c, n))
     acc = _partial_fraction_sum(
-        a_list,
+        a,
         lambda al: pochhammer(d - al, m)
         * pochhammer(c - al, n)
         * complete_beta(al, 1.0 - b),
@@ -593,6 +594,8 @@ def psi_sum_alternating(b: float, n: int) -> float:
 def bateman_next(a: float, n: int) -> float:
     """G(a+n+1) recursively from G(a)..G(a+n):
     sum_k C(n,k) [1/(a+k) - (n+1)/(n+1-k) G(a+k)]."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
     total = 0.0
     for k in range(n + 1):
         total += binomial(n, k) * (

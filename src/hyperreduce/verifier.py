@@ -205,8 +205,16 @@ def _result_row(result: CaseResult) -> dict:
     }
 
 
-def report_to_jsonl(report: Report) -> str:
+def report_to_json(report: Report) -> str:
+    """The summary and every case row as one JSON document (verify --format json)."""
     import json  # the serializers import json and csv when called, not with the package
+
+    return json.dumps({"summary": report_summary(report),
+                       "results": [_result_row(r) for r in report.results]}) + "\n"
+
+
+def report_to_jsonl(report: Report) -> str:
+    import json
 
     return "\n".join(json.dumps(_result_row(r)) for r in report.results) + "\n"
 

@@ -1,4 +1,7 @@
+from __future__ import annotations
+
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -100,6 +103,78 @@ def test_signature_validation():
     # fixed-z entry: explicit mismatching z rejected
     with pytest.raises(ValueError):
         catalog.reduce(ReductionRequest("F21HalfBateman", {"a": 1.0}, {"n": 1}, 0.3))
+    # a non-finite shift gets the catalog's message, not int()'s own error
+    for shift in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="shift 'n' must be a non-negative integer"):
+            catalog.reduce(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": shift}, 0.3))
+
+
+# Each entry's (scalar_names, list_names, shift_names, fixed_z), as the
+# registrations stated them before the names were read from the rhs.
+SIGNATURES = {
+    "F32HalfBateman": (("a", "c"), (), ("n",), 0.5),
+    "F21HalfBateman": (("a",), (), ("n",), 0.5),
+    "F21NegUnit": (("a",), (), ("n",), -1.0),
+    "F32HalfPlusM": (("a", "b", "c"), (), ("n", "m"), 0.5),
+    "F32HalfMinusM": (("a", "b", "c"), (), ("n", "m"), 0.5),
+    "F32UnityJL": (("a", "b"), (), (), 1.0),
+    "F43Unity": (("a", "b", "c"), (), ("n",), 1.0),
+    "F32UnityBB": (("a", "b"), (), ("n",), 1.0),
+    "F43UnityNM": (("a", "b", "c"), (), ("n", "m"), 1.0),
+    "F01Bessel": (("b",), (), (), None),
+    "F12BesselI": (("b", "c"), (), ("n",), None),
+    "F23BesselI": (("b", "c", "d"), (), ("n", "m"), None),
+    "F12BesselJ": (("b", "c"), (), ("n",), None),
+    "F23BesselJ": (("b", "c", "d"), (), ("n", "m"), None),
+    "F11IncGamma": (("a",), (), (), None),
+    "F22IncGamma": (("a", "c"), (), ("n",), None),
+    "F11Laguerre": (("a",), (), ("n",), None),
+    "F22Laguerre": (("a", "b"), (), ("n", "m"), None),
+    "F33Laguerre": (("a", "b", "c"), (), ("n", "m", "k"), None),
+    "Mp1FmIncBeta": (("a", "b"), ("a",), (), None),
+    "Pp2Fp1IncBeta": (("a", "b", "c"), ("a",), ("n",), None),
+    "Pp2Fp1Literature": (("a", "b", "c"), ("a",), ("n",), None),
+    "F21Contiguous": (("b", "c"), (), ("n",), None),
+    "Pp2Fp1Unity": (("a", "b", "c"), ("a",), ("n",), 1.0),
+    "Pp3Fp2H": (("a", "b", "c", "d"), ("a",), ("n", "m"), None),
+    "Pp3Fp2IncBeta": (("a", "b", "c", "d"), ("a",), ("n", "m"), None),
+    "Pp3Fp2Unity": (("a", "b", "c", "d"), ("a",), ("n", "m"), 1.0),
+    "F32P0": (("b", "c", "d"), (), ("n", "m"), None),
+}
+
+
+def test_signatures_read_from_rhs():
+    assert list(SIGNATURES) == catalog.catalog_ids()
+    for entry_id, signature in SIGNATURES.items():
+        entry = catalog.get_entry(entry_id)
+        assert (entry.scalar_names, entry.list_names, entry.shift_names, entry.fixed_z) == signature
+
+
+def _free_z(a: Sequence[float], b: float, n: int, z: float): ...
+def _fixed_z(a: float, n: int, m: int): ...
+def _shift_first(n: int, a: float, z: float): ...
+def _z_not_last(a: float, z: float, n: int): ...
+def _no_z(a: float, n: int): ...
+def _unannotated(a, n: int, z: float): ...
+def _other_annotation(a: complex, z: float): ...
+
+
+def test_rhs_signature_derivation():
+    # A pure helper: these calls register nothing into the catalog.
+    assert catalog._rhs_signature(_free_z, None) == (("a", "b"), ("a",), ("n",))
+    assert catalog._rhs_signature(_fixed_z, 1.0) == (("a",), (), ("n", "m"))
+    bad = [
+        (_shift_first, None),  # a shift before a scalar
+        (_z_not_last, None),
+        (_no_z, None),  # z is free but not a parameter
+        (_free_z, 0.5),  # z is fixed but still a parameter
+        (_unannotated, None),
+        (_other_annotation, None),
+    ]
+    for rhs, fixed_z in bad:
+        with pytest.raises(TypeError, match=rhs.__name__):
+            catalog._rhs_signature(rhs, fixed_z)
+    assert len(catalog.catalog_ids()) == 28
 
 
 def test_domain_validation():

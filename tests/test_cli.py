@@ -87,6 +87,19 @@ def test_reduce_unknown_id_and_bad_signature(capsys):
                 "--n", "2", "--z", "0.3"]) == 2
 
 
+def test_reduce_flags_come_from_the_catalog(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["reduce", "--help"])
+    assert exc.value.code == 0
+    flags = [word for word in capsys.readouterr().out.split() if word.startswith("--")]
+    params = [flag for flag in flags if flag not in ("--help", "--z", "--check")]
+    assert params == ["--a", "--b", "--c", "--d", "--n", "--m", "--k"]
+    # a flag the entry does not take is still a usage error
+    assert run(["reduce", "F21Contiguous", "--a", "1", "--b", "0.5", "--c", "1",
+                "--n", "0", "--z", "0.3"]) == 2
+    assert "unexpected scalars ['a']" in capsys.readouterr().err
+
+
 def test_reduce_list_parameter(capsys):
     rc = run(["reduce", "Mp1FmIncBeta", "--a", "0.4,1.3", "--b", "-0.5",
               "--z", "0.5", "--check"])

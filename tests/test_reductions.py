@@ -106,6 +106,12 @@ def test_bateman_next_base():
     assert bateman_next(1.0, 0) == pytest.approx(1.0 - math.log(2.0), rel=1e-12)
 
 
+def test_bateman_next_rejects_negative_n():
+    # The loop over k <= n would not run and leave 0.0.
+    with pytest.raises(DomainError):
+        bateman_next(1.0, -1)
+
+
 def test_bateman_next_matches_direct():
     for a in (0.3, 0.8, 1.5, 2.5):
         for n in range(7):

@@ -107,6 +107,16 @@ def test_jsonl_schema():
     assert all(row["z"] == 1.0 for row in unity_rows)
 
 
+def test_json_document_is_summary_and_rows():
+    report = verifier.run_suite(["F12BesselI", "Pp2Fp1Unity"], 3, 1)
+    payload = json.loads(verifier.report_to_json(report))
+    rows = verifier.report_to_jsonl(report).strip().split("\n")
+    assert payload == {
+        "summary": verifier.report_summary(report),
+        "results": [json.loads(row) for row in rows],
+    }
+
+
 def test_csv_schema():
     report = verifier.run_suite(["F32P0"], 10, 2)
     text = verifier.report_to_csv(report)
