@@ -46,6 +46,8 @@ class CatalogEntry:
     ``p`` is the flattened parameter dict: every scalar (a list parameter is
     a tuple of floats), every shift, and ``z`` (``fixed_z`` when it is set).
 
+    - The fields are declared once, as the annotations below, which are also
+      the slots and the constructor's keywords.
     - ``rhs`` states the signature, which ``_register`` reads: its parameter
       names are the request keys, scalars (annotated ``float``, or
       ``Sequence[float]`` for a list), then shifts (``int``), then ``z`` when
@@ -56,6 +58,8 @@ class CatalogEntry:
       distinct with every element > 0.  Then ``check`` adds only the rules
       specific to the entry (poles, bounds tied to shifts, the z range), and
       last, when ``fixed_z == 1``, ``lhs(p)`` must converge at z = 1.
+    - ``constraints`` reads in that order: ``_register`` writes the shared
+      rules, and a registration's ``constraints=`` states what ``check`` adds.
     - ``ordinal`` is the registration order.  It seeds the entry's sampling
       stream, so reordering entries changes every verifier report.
 
@@ -63,43 +67,31 @@ class CatalogEntry:
     identity.
     """
 
-    __slots__ = (
-        "id",
-        "ordinal",
-        "scalar_names",
-        "list_names",
-        "shift_names",
-        "description",
-        "constraints",
-        "fixed_z",
-        "positive",
-        "lhs",
-        "rhs",
-        "check",
-        "draw",
-    )
-    _SHOWN = __slots__[:9]  # the repr leaves out the four callables
+    id: str
+    ordinal: int
+    scalar_names: tuple[str, ...]
+    list_names: tuple[str, ...]
+    shift_names: tuple[str, ...]
+    description: str
+    constraints: str
+    fixed_z: float | None
+    positive: tuple[str, ...]
+    lhs: Callable[[dict], PFQSpec]
+    rhs: Callable[..., tuple[float, float]]
+    check: Callable[[dict], None] | None
+    draw: Callable[[np.random.Generator], dict]
 
-    def __init__(
-        self,
-        *,
-        id: str,
-        ordinal: int,
-        scalar_names: tuple[str, ...],
-        list_names: tuple[str, ...],
-        shift_names: tuple[str, ...],
-        description: str,
-        constraints: str,
-        fixed_z: float | None = None,
-        positive: tuple[str, ...] = (),
-        lhs: Callable[[dict], PFQSpec] | None = None,
-        rhs: Callable[..., tuple[float, float]] | None = None,
-        check: Callable[[dict], None] | None = None,
-        draw: Callable[[np.random.Generator], dict] | None = None,
-    ) -> None:
-        fields = locals()
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
+    __slots__ = tuple(__annotations__)
+    _SHOWN = __slots__[:9]  # the repr leaves out the four callables
+    _FIELDS = frozenset(__slots__)
+
+    def __init__(self, **fields) -> None:
+        fields = {"fixed_z": None, "positive": (), "check": None, **fields}
+        if fields.keys() != self._FIELDS:
+            raise TypeError(f"CatalogEntry: missing fields {sorted(self._FIELDS - fields.keys())}, "
+                            f"unknown fields {sorted(fields.keys() - self._FIELDS)}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"CatalogEntry is read-only: cannot set {name!r}")
@@ -134,10 +126,15 @@ def _rhs_signature(rhs: Callable, fixed_z: float | None) -> tuple[tuple[str, ...
     return names[: len(names) - len(shifts)], tuple(kinds["Sequence[float]"]), shifts
 
 
-def _register(id: str, **fields) -> None:
+def _register(id: str, constraints: str = "", **fields) -> None:
     scalars, lists, shifts = _rhs_signature(fields["rhs"], fields.get("fixed_z"))
+    rules = [", ".join(fields["positive"]) + " > 0"] if fields.get("positive") else []
+    rules += [f"{name}'s > 0 pairwise distinct" for name in lists]
+    rules += [constraints] if constraints else []
+    rules += ["convergent at z = 1"] if fields.get("fixed_z") == 1.0 else []
     _ENTRIES[id] = CatalogEntry(id=id, ordinal=len(_ENTRIES), scalar_names=scalars,
-                                list_names=lists, shift_names=shifts, **fields)
+                                list_names=lists, shift_names=shifts,
+                                constraints="; ".join(rules), **fields)
 
 
 def catalog_ids() -> list[str]:
@@ -225,13 +222,15 @@ def _validate(entry: CatalogEntry, p: dict) -> None:
 
 
 def reduce(req: ReductionRequest) -> EvalResult:
-    """Evaluate the closed-form right-hand side of a catalog formula."""
+    """Evaluate a catalog formula's closed form; OverflowError if it is not finite."""
     entry = get_entry(req.id)
     params = _unpack(entry, req)
     args = list(params.values())
     if entry.fixed_z is not None:
         del args[-1]  # a fixed z is part of the formula, not an rhs argument
     value, magnitude = entry.rhs(*args)
+    if not math.isfinite(value):
+        raise OverflowError(f"{entry.id}: closed form value {value} is not finite")
     return EvalResult(value, _EPS * magnitude, 0, Status.CONVERGED)
 
 
@@ -328,7 +327,6 @@ _register(
         "3F2(a,a,c+n; a+1,c; 1/2) as a*2^a times a binomial sum of Bateman "
         "G-function values"
     ),
-    constraints="a > 0, c > 0",
     fixed_z=0.5,
 )
 
@@ -342,7 +340,6 @@ _register(
         "2F1(a,a+n; a+1; 1/2) as a*2^a times a binomial sum of Bateman "
         "G-function values (the c = a collapse of F32HalfBateman)"
     ),
-    constraints="a > 0",
     fixed_z=0.5,
 )
 
@@ -357,7 +354,6 @@ _register(
         "G-function values; the same value also equals a*sum C(n,k)/(a+k), "
         "which is the cross-check that pins down the G-function recursion"
     ),
-    constraints="a > 0",
     fixed_z=-1.0,
 )
 
@@ -381,7 +377,6 @@ _register(
         "3F2(a,b+m,c+n; (a+b+1)/2,c; 1/2) as a double binomial sum of "
         "half-argument gamma ratios"
     ),
-    constraints="a, b, c > 0",
     fixed_z=0.5,
 )
 
@@ -421,7 +416,7 @@ _register(
         "two candidate printed forms this is the one that survives oracle "
         "testing (the other is kept in tests as a negative control)"
     ),
-    constraints="a, c > 0; (1+b)/2 > m; (b-a+1)/2 and (b-a+1)/2 - m off poles",
+    constraints="(1+b)/2 > m; (b-a+1)/2, (b-a+1)/2 - m, (1+b)/2 - m off poles",
     fixed_z=0.5,
 )
 
@@ -443,7 +438,7 @@ _register(
     description=(
         "3F2(a,b,b; b+1,b+1; 1) as b^2 B(1-a,b) [psi(1+b-a) - psi(b)]"
     ),
-    constraints="b > 0, a < 1, convergent at z = 1 (a < 2)",
+    constraints="a < 1; 1+b-a off poles",
     fixed_z=1.0,
 )
 
@@ -482,7 +477,7 @@ _register(
         "4F3(a,b,b,c+n; b+1,b+1,c; 1) as b^2 B(1-a,b) (c-b)_n/(c)_n times a "
         "four-term psi combination, b != c"
     ),
-    constraints="b, c > 0; a < 1; |b - c| >= 0.05; psi arguments off poles; convergent at z = 1",
+    constraints=f"a < 1; |b - c| >= {POLE_DIST}; 1+b-a, 1+b-c, 1+b-c-n and (c-b)_n off poles",
     fixed_z=1.0,
 )
 
@@ -505,7 +500,7 @@ _register(
     description=(
         "3F2(a,b,b+n; b+1,b+1; 1) as (n-1)! b^2 B(1-a,b) / (b)_n, n >= 1"
     ),
-    constraints="n >= 1; b > 0; a < 1; convergent at z = 1 (a < 2 - n)",
+    constraints="n >= 1; a < 1",
     fixed_z=1.0,
 )
 
@@ -538,7 +533,7 @@ _register(
         "4F3(a,b,b+n,c+m; b+1,b+1,c; 1) as the F32UnityBB value times "
         "(c-b)_m/(c)_m, n >= 1"
     ),
-    constraints="n >= 1; b, c > 0; a < 1; (c-b)_m off zero; convergent at z = 1",
+    constraints="n >= 1; a < 1; (c-b)_m off poles",
     fixed_z=1.0,
 )
 
@@ -554,7 +549,6 @@ _register(
         "0F1(;b;z) in terms of the modified Bessel function of the first kind, "
         "z^((1-b)/2) Gamma(b) I_{b-1}(2 sqrt(z))"
     ),
-    constraints="b > 0, z > 0",
 )
 
 _register(
@@ -572,7 +566,6 @@ _register(
         "1F2(c+n; b,c; z) as a finite binomial sum over the modified Bessel "
         "function of the first kind"
     ),
-    constraints="b, c > 0, z > 0",
 )
 
 _register(
@@ -594,7 +587,6 @@ _register(
         "2F3(c+n,d+m; b,c,d; z) as a double finite sum over the modified "
         "Bessel function of the first kind"
     ),
-    constraints="b, c, d > 0, z > 0",
 )
 
 _register(
@@ -612,7 +604,6 @@ _register(
         "1F2(c+n; b,c; -z), z > 0, as an alternating finite sum over the "
         "Bessel function of the first kind"
     ),
-    constraints="b, c > 0, z > 0 (series argument is -z)",
 )
 
 _register(
@@ -634,7 +625,6 @@ _register(
         "2F3(c+n,d+m; b,c,d; -z), z > 0, as an alternating double finite sum "
         "over the Bessel function of the first kind"
     ),
-    constraints="b, c, d > 0, z > 0 (series argument is -z)",
 )
 
 # -- incomplete gamma / Laguerre family -------------------------------------
@@ -649,7 +639,6 @@ _register(
         "1F1(a; a+1; -z), z > 0, as a z^(-a) times the lower incomplete gamma "
         "function at (a, z)"
     ),
-    constraints="a > 0, z > 0 (series argument is -z)",
 )
 
 _register(
@@ -667,7 +656,6 @@ _register(
         "2F2(a,c+n; a+1,c; -z), z > 0, as an alternating binomial sum of "
         "lower incomplete gamma values"
     ),
-    constraints="a, c > 0, z > 0 (series argument is -z)",
 )
 
 _register(
@@ -680,7 +668,6 @@ _register(
         "1F1(a+n; a; z) as n!/(a)_n e^z times the generalized Laguerre "
         "polynomial L_n^(a-1)(-z)"
     ),
-    constraints="a > 0",
 )
 
 _register(
@@ -699,7 +686,6 @@ _register(
         "2F2(a+n,b+m; a,b; z) as a binomial sum of generalized Laguerre "
         "polynomial values times e^z"
     ),
-    constraints="a, b > 0",
 )
 
 _register(
@@ -724,7 +710,6 @@ _register(
         "3F3(a+n,b+m,c+k; a,b,c; z) as a double binomial sum of generalized "
         "Laguerre polynomial values times e^z"
     ),
-    constraints="a, b, c > 0",
 )
 
 # -- arbitrary-p incomplete-beta family -------------------------------------
@@ -746,7 +731,7 @@ _register(
         "(m+1)Fm(b,a_1..a_m; a_1+1..a_m+1; z) as a partial-fraction sum of "
         "incomplete beta values, pairwise-distinct a's"
     ),
-    constraints="a's > 0 and pairwise distinct; 0 < z < 1",
+    constraints="0 < z < 1",
 )
 
 def _pp2_lhs(p: dict) -> PFQSpec:
@@ -774,7 +759,7 @@ _register(
         "(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; z) as a binomial sum of "
         "incomplete-beta partial fractions"
     ),
-    constraints="a's > 0 pairwise distinct; c > 0; 0 < z < 1",
+    constraints="0 < z < 1",
 )
 
 
@@ -807,7 +792,7 @@ _register(
         "same left-hand side as Pp2Fp1IncBeta, written through the n-th "
         "derivative of z^g B_z(a,b) as found in earlier literature"
     ),
-    constraints="a's > max(0, n-1) pairwise distinct; c > 0; 0 < z < 1",
+    constraints="a's > n - 1; 0 < z < 1",
 )
 
 _register(
@@ -826,7 +811,7 @@ _register(
         "2F1(b,c+n; c; z) as (1-z)^(-b) times a terminating binomial sum in "
         "z/(1-z)"
     ),
-    constraints="c > 0, |z| < 1",
+    constraints="|z| < 1",
 )
 
 
@@ -854,7 +839,7 @@ _register(
         "(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; 1) as a beta-function "
         "partial-fraction sum"
     ),
-    constraints="a's > 0 pairwise distinct; c > 0; b < 1; convergent at z = 1",
+    constraints="b < 1; (c-a)_n off poles",
     fixed_z=1.0,
 )
 
@@ -897,7 +882,7 @@ _register(
         "(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; z) through the "
         "m-th derivative of z^g B_z(a,b)"
     ),
-    constraints="a's > max(0, m-1) pairwise distinct; c, d > 0; 0 < z < 1",
+    constraints="a's > m - 1; 0 < z < 1",
 )
 
 _register(
@@ -919,7 +904,7 @@ _register(
         "same left-hand side as Pp3Fp2H, written directly as a double "
         "binomial sum of incomplete-beta partial fractions"
     ),
-    constraints="a's > 0 pairwise distinct; c, d > 0; 0 < z < 1",
+    constraints="0 < z < 1",
 )
 
 
@@ -953,9 +938,7 @@ _register(
         "(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; 1) as a pure "
         "beta-function partial-fraction sum, b < 1 - max(n, m)"
     ),
-    constraints=(
-        "a's > 0 pairwise distinct; c, d > 0; b < 1 - max(n, m); convergent at z = 1"
-    ),
+    constraints="b < 1 - max(n, m); (c-a)_n and (d-a)_m off poles",
     fixed_z=1.0,
 )
 
@@ -979,5 +962,5 @@ _register(
         "3F2(b,c+n,d+m; c,d; z), z != 1, as (1-z)^(-b-m) times a binomial sum "
         "with terminating Gauss-series factors"
     ),
-    constraints="c, d > 0, |z| < 1",
+    constraints="|z| < 1",
 )

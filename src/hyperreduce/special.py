@@ -21,7 +21,6 @@ from .series import PFQSpec, eval_pfq, is_nonpositive_integer
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-_MAX_EXP_ARG = 709.0
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # math.exp overflows past it
 
 # Asymptotic digamma: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n).
@@ -73,7 +72,7 @@ def gamma_ratio(numerator: Iterable[float], denominator: Iterable[float]) -> flo
         lg, s = ln_gamma(x)
         log_acc -= lg
         sign *= s
-    if log_acc > _MAX_EXP_ARG:
+    if log_acc > _LOG_DOUBLE_MAX:
         raise OverflowError("gamma ratio exceeds double range")
     return sign * math.exp(log_acc)
 
@@ -240,7 +239,7 @@ def _bessel_series(nu: float, x: float, alternating: bool) -> float:
     log_pref = nu * math.log(half)
     lg, sign = ln_gamma(nu + 1.0)
     log_pref -= lg
-    if log_pref > _MAX_EXP_ARG:
+    if log_pref > _LOG_DOUBLE_MAX:
         raise OverflowError("Bessel series prefactor overflows")
     term = sign * math.exp(log_pref)
     quarter_sq = half * half

@@ -305,6 +305,45 @@ def test_shared_domain_rules_reject(entry_id):
         _assert_rejected(_replace(req, name, values + values[:1]))
 
 
+@pytest.mark.parametrize("entry_id", catalog.catalog_ids())
+def test_constraints_state_each_shared_rule_once(entry_id):
+    # The shared rules come first and last, in the order _validate applies
+    # them; what lies between states only what the entry's check adds.
+    entry = catalog.get_entry(entry_id)
+    clauses = entry.constraints.split("; ")
+    if POSITIVE[entry_id]:
+        assert clauses.pop(0) == ", ".join(POSITIVE[entry_id]) + " > 0"
+    for name in entry.list_names:
+        assert clauses.pop(0) == f"{name}'s > 0 pairwise distinct"
+    assert (clauses[-1:] == ["convergent at z = 1"]) == entry.unity
+    own = "; ".join(clauses[:-1] if entry.unity else clauses)
+    assert bool(own) == (entry.check is not None)
+    assert "pairwise distinct" not in own and "convergent" not in own
+    assert not any(f"{name} > 0" in own for name in POSITIVE[entry_id])
+
+
+# A pole rule each of these entries' checks enforces.
+POLE_RULES = {
+    "F32HalfMinusM": "(1+b)/2 - m off poles",
+    "F32UnityJL": "1+b-a off poles",
+    "F43Unity": "(c-b)_n off poles",
+    "Pp2Fp1Unity": "(c-a)_n off poles",
+    "Pp3Fp2Unity": "(c-a)_n and (d-a)_m off poles",
+}
+
+
+@pytest.mark.parametrize("entry_id", POLE_RULES)
+def test_constraints_name_the_pole_rules(entry_id):
+    assert POLE_RULES[entry_id] in catalog.get_entry(entry_id).constraints
+
+
+def test_reduce_refuses_a_non_finite_closed_form():
+    # (b)_k and (c)_k both overflow from k ~ 170, and inf/inf is NaN.
+    req = ReductionRequest("F21Contiguous", {"b": 0.5, "c": 1.0}, {"n": 1000}, 0.3)
+    with pytest.raises(OverflowError, match="F21Contiguous: closed form value nan"):
+        catalog.reduce(req)
+
+
 # z = 1 requests that satisfy every rule except convergence of the series.
 DIVERGENT_AT_UNITY = [
     ReductionRequest("F43Unity", {"a": 0.5, "b": 1.0, "c": 2.5}, {"n": 2}),

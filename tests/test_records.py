@@ -89,3 +89,23 @@ def test_catalog_entry_is_read_only_but_swappable_by_object_setattr():
     assert entry.draw is original
     assert repr(entry).startswith("CatalogEntry(id='F21Contiguous', ordinal=")
     assert "<function" not in repr(entry)
+
+
+FIELDS = ("id", "ordinal", "scalar_names", "list_names", "shift_names", "description",
+          "constraints", "fixed_z", "positive", "lhs", "rhs", "check", "draw")
+
+
+def test_catalog_entry_fields_are_its_slots_and_keywords():
+    assert catalog.CatalogEntry.__slots__ == FIELDS
+    entry = catalog.get_entry("Pp2Fp1Unity")
+    fields = {name: getattr(entry, name) for name in FIELDS}
+    # Direct constructor calls: nothing is registered into the catalog.
+    assert repr(catalog.CatalogEntry(**fields)) == repr(entry)
+    bare = catalog.CatalogEntry(**{k: v for k, v in fields.items()
+                                   if k not in ("fixed_z", "positive", "check")})
+    assert (bare.fixed_z, bare.positive, bare.check) == (None, (), None)
+    with pytest.raises(TypeError, match=r"missing fields \['draw'\], unknown fields \[\]"):
+        catalog.CatalogEntry(**{k: v for k, v in fields.items() if k != "draw"})
+    with pytest.raises(TypeError, match=r"missing fields \[\], unknown fields \['note'\]"):
+        catalog.CatalogEntry(**fields, note="not a field")
+    assert len(catalog.catalog_ids()) == 28

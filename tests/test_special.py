@@ -92,6 +92,13 @@ def test_gamma_ratio_large_arguments_cancel():
     assert gamma_ratio((250.3,), (250.0,)) == pytest.approx(expected, rel=1e-11)
 
 
+def test_gamma_ratio_reaches_the_largest_double():
+    # ln Gamma(171.6) = 709.66 lies between 709 and ln(DBL_MAX) = 709.78.
+    assert gamma_ratio((171.6,), ()) == pytest.approx(math.gamma(171.6), rel=1e-12)
+    with pytest.raises(OverflowError):
+        gamma_ratio((171.7,), ())
+
+
 def test_digamma_matches_scipy():
     rng = np.random.default_rng(13)
     for _ in range(300):
