@@ -228,7 +228,10 @@ def reduce(req: ReductionRequest) -> EvalResult:
     args = list(params.values())
     if entry.fixed_z is not None:
         del args[-1]  # a fixed z is part of the formula, not an rhs argument
-    value, magnitude = entry.rhs(*args)
+    try:
+        value, magnitude = entry.rhs(*args)
+    except OverflowError as exc:  # name the entry; the message says what overflowed
+        raise OverflowError(f"{entry.id}: {exc}") from exc
     if not math.isfinite(value):
         raise OverflowError(f"{entry.id}: closed form value {value} is not finite")
     return EvalResult(value, _EPS * magnitude, 0, Status.CONVERGED)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import catalog, verifier
 from .catalog import ReductionRequest
-from .errors import DomainError, HyperreduceError
+from .errors import NUMERIC_ERRORS, DomainError
 from .series import DEFAULT_MAX_TERMS, DEFAULT_TOL, PFQSpec, Status, eval_pfq
 
 EXIT_OK = 0
@@ -199,7 +199,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         message, code = exc.args[0], EXIT_USAGE
     except (ValueError, DomainError) as exc:
         message, code = exc, EXIT_USAGE
-    except (HyperreduceError, OverflowError, ZeroDivisionError) as exc:
+    except NUMERIC_ERRORS as exc:
         message, code = exc, EXIT_NUMERIC
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -35,3 +35,9 @@ class LowerPoleError(HyperreduceError):
 
 class UnsatisfiableDomainError(HyperreduceError):
     """The case sampler could not produce an in-domain parameter set."""
+
+
+# The exceptions that mean a computation failed numerically: the CLI exits 3
+# on them (after mapping DomainError, a usage error, to exit 2), and the
+# verifier turns them into a verdict against the side that raised.
+NUMERIC_ERRORS = (HyperreduceError, ArithmeticError)

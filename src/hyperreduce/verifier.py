@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 from . import catalog
 from .catalog import ReductionRequest
-from .errors import DomainError, HyperreduceError
+from .errors import NUMERIC_ERRORS
 from .series import Status, eval_pfq
 
 # Mixed tolerances: pass iff |lhs - rhs| <= max(tol_rel * |lhs|, tol_abs).
@@ -30,8 +30,9 @@ ORACLE_TOL_INTERIOR = 1e-15
 ORACLE_TOL_UNITY = 1e-11
 
 MISMATCH = "Mismatch"
+CLOSED_FORM_FAILED = "ClosedFormFailed"
 ORACLE_NON_CONVERGENT = "OracleNonConvergent"
-DOMAIN_REJECTED = "DomainRejected"
+DOMAIN_REJECTED = "DomainRejected"  # no verdict any more; perfbench's counts still read it
 
 
 class VerificationCase(NamedTuple):
@@ -46,7 +47,7 @@ class CaseResult(NamedTuple):
     lhs_value: float | None
     rhs_value: float | None
     rel_err: float | None
-    failure_kind: str | None  # Mismatch / OracleNonConvergent / DomainRejected
+    failure_kind: str | None  # None passes; Mismatch, ClosedFormFailed fail; OracleNonConvergent skips
 
     @property
     def passed(self) -> bool:
@@ -54,7 +55,7 @@ class CaseResult(NamedTuple):
 
     @property
     def skipped(self) -> bool:
-        return self.failure_kind in (ORACLE_NON_CONVERGENT, DOMAIN_REJECTED)
+        return self.failure_kind == ORACLE_NON_CONVERGENT
 
 
 class EntrySummary(NamedTuple):
@@ -80,7 +81,7 @@ class Report(NamedTuple):
 
     @property
     def failures(self) -> list[CaseResult]:
-        return [r for r in self.results if r.failure_kind == MISMATCH]
+        return [r for r in self.results if not (r.passed or r.skipped)]
 
     @property
     def total_failed(self) -> int:
@@ -119,29 +120,29 @@ def sample_cases(entry_id: str, count: int, seed: int) -> list[VerificationCase]
 
 
 def run_case(case: VerificationCase) -> CaseResult:
-    """Compare closed form against the series oracle for one case."""
+    """Compare closed form against the series oracle for one case.  A request
+    outside the entry's signature or domain raises, as catalog.reduce does;
+    a numerical failure of either side is that side's verdict."""
     entry = catalog.get_entry(case.request.id)
     tol_rel, tol_abs, oracle_tol = _case_tolerances(entry)
+    spec = catalog.lhs_spec(case.request)
     try:
-        spec = catalog.lhs_spec(case.request)
         rhs = catalog.reduce(case.request).value
+    except NUMERIC_ERRORS:
+        rhs = None
+    try:
         oracle = eval_pfq(spec, tol=oracle_tol)
-    except DomainError:
-        return CaseResult(case.case_id, entry.id, case.request, None, None, None, DOMAIN_REJECTED)
-    except HyperreduceError:
-        return CaseResult(case.case_id, entry.id, case.request, None, None, None, ORACLE_NON_CONVERGENT)
-    if oracle.status is Status.MAX_TERMS_REACHED:
-        return CaseResult(case.case_id, entry.id, case.request, None, rhs, None, ORACLE_NON_CONVERGENT)
-    passed, rel_err = _compare(oracle.value, rhs, tol_rel, tol_abs)
-    return CaseResult(
-        case.case_id,
-        entry.id,
-        case.request,
-        oracle.value,
-        rhs,
-        rel_err,
-        None if passed else MISMATCH,
-    )
+    except NUMERIC_ERRORS:
+        oracle = None
+    lhs = rel_err = None
+    if rhs is None:
+        kind = CLOSED_FORM_FAILED
+    elif oracle is None or oracle.status is Status.MAX_TERMS_REACHED:
+        kind = ORACLE_NON_CONVERGENT
+    else:
+        passed, rel_err = _compare(oracle.value, rhs, tol_rel, tol_abs)
+        lhs, kind = oracle.value, None if passed else MISMATCH
+    return CaseResult(case.case_id, entry.id, case.request, lhs, rhs, rel_err, kind)
 
 
 def run_entry(entry_id: str, cases_per_entry: int, seed: int) -> tuple[EntrySummary, list[CaseResult]]:
@@ -151,7 +152,7 @@ def run_entry(entry_id: str, cases_per_entry: int, seed: int) -> tuple[EntrySumm
     passed = sum(1 for r in results if r.passed)
     skipped = sum(1 for r in results if r.skipped)
     failed = len(results) - passed - skipped
-    errs = [r.rel_err for r in results if r.rel_err is not None and not r.skipped]
+    errs = [r.rel_err for r in results if r.rel_err is not None]
     worst = max(errs) if errs else None
     return EntrySummary(entry_id, passed, failed, skipped, worst, elapsed), results
 

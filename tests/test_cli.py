@@ -291,3 +291,12 @@ def test_numpy_loaded_only_by_circle_oracle_and_sampler():
         ("eval", 0, True),
     ]
     assert _numpy_probe("verify --cases 1") == [("import", None, False), ("verify", 0, True)]
+
+
+def test_reduce_overflow_names_the_entry(capsys):
+    # special.binomial's own message does not say which closed form failed;
+    # catalog.reduce puts the entry id in front of it.
+    assert run(["reduce", "F21Contiguous", "--b", "0.5", "--c", "1", "--n", "2000", "--z", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: F21Contiguous: " in captured.err

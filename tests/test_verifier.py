@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from hyperreduce import catalog, verifier
+from hyperreduce import catalog, cli, verifier
 from hyperreduce.catalog import ReductionRequest
+from hyperreduce.errors import DivergentSeriesError, DomainError, PoleError
 from hyperreduce.series import EvalResult, Status, eval_pfq
 
 
@@ -227,3 +228,128 @@ def test_seed1_mismatches_are_oracle_cancellation():
         assert oracle_err > verifier.INTERIOR_TOL_REL * abs(ref), r.case_id
         assert oracle.abs_err_est >= oracle_err, r.case_id
         assert oracle.abs_err_est > verifier.INTERIOR_TOL_REL * abs(oracle.value), r.case_id
+
+
+# ---------------------------------------------------------------------------
+# one verdict per side: the closed form's failure, then the oracle's, then the
+# comparison
+# ---------------------------------------------------------------------------
+
+_INTERIOR_CASE = verifier.VerificationCase(
+    "t-2", ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 1}, 0.3)
+)
+
+
+def _raising(exc):
+    def stub(*args, **kwargs):
+        raise exc
+
+    return stub
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OverflowError("overflow"), ZeroDivisionError("division by zero"), PoleError("pole")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_closed_form_that_raises_is_a_failure(monkeypatch, exc):
+    monkeypatch.setattr(catalog, "reduce", _raising(exc))
+    result = verifier.run_case(_INTERIOR_CASE)
+    assert result.failure_kind == verifier.CLOSED_FORM_FAILED
+    assert not result.passed
+    assert not result.skipped
+    assert (result.lhs_value, result.rhs_value, result.rel_err) == (None, None, None)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OverflowError("overflow"), DivergentSeriesError("diverges")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_oracle_that_raises_is_a_skip(monkeypatch, exc):
+    monkeypatch.setattr(verifier, "eval_pfq", _raising(exc))
+    result = verifier.run_case(_INTERIOR_CASE)
+    assert result.failure_kind == verifier.ORACLE_NON_CONVERGENT
+    assert result.skipped
+    assert result.rhs_value == catalog.reduce(_INTERIOR_CASE.request).value
+    assert result.lhs_value is None and result.rel_err is None
+
+
+def test_closed_form_verdict_comes_first_and_both_sides_run(monkeypatch):
+    # The layer tracer counts each side's calls, so a failed closed form
+    # still leaves the oracle to run, in the same order as for any case.
+    calls = []
+    original_lhs_spec = catalog.lhs_spec
+
+    def lhs_spec(req):
+        calls.append("lhs_spec")
+        return original_lhs_spec(req)
+
+    def reduce(req):
+        calls.append("reduce")
+        raise OverflowError("overflow")
+
+    def oracle(spec, **kwargs):
+        calls.append("eval_pfq")
+        raise DivergentSeriesError("diverges")
+
+    monkeypatch.setattr(catalog, "lhs_spec", lhs_spec)
+    monkeypatch.setattr(catalog, "reduce", reduce)
+    monkeypatch.setattr(verifier, "eval_pfq", oracle)
+    assert verifier.run_case(_INTERIOR_CASE).failure_kind == verifier.CLOSED_FORM_FAILED
+    assert calls == ["lhs_spec", "reduce", "eval_pfq"]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        # (b)_k and (c)_k overflow to inf/inf, a NaN closed form.
+        ReductionRequest("F21Contiguous", {"b": 0.5, "c": 1.0}, {"n": 1000}, 0.3),
+        # Gamma(180) exceeds the double range.
+        ReductionRequest("F01Bessel", {"b": 180.0}, {}, 1.0),
+    ],
+    ids=["F21Contiguous-n1000", "F01Bessel-b180"],
+)
+def test_overflowing_closed_form_is_a_failure_row(request_):
+    result = verifier.run_case(verifier.VerificationCase("t-3", request_))
+    assert result.failure_kind == verifier.CLOSED_FORM_FAILED
+    assert not result.skipped
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        ReductionRequest("F21Contiguous", {"b": 0.5, "c": -1.0}, {"n": 1}, 0.3),
+        ReductionRequest("F43Unity", {"a": 0.5, "b": 1.0, "c": 2.0}, {"n": 1}),
+    ],
+    ids=["F21Contiguous-c-negative", "F43Unity-psi-pole"],
+)
+def test_out_of_domain_request_raises(request_):
+    with pytest.raises(DomainError):
+        verifier.run_case(verifier.VerificationCase("t-4", request_))
+
+
+@pytest.fixture
+def failing_closed_form():
+    """F21Contiguous's closed form raises OverflowError for the test's length."""
+    entry = catalog.get_entry("F21Contiguous")
+    original = entry.rhs
+    object.__setattr__(entry, "rhs", _raising(OverflowError("overflow")))  # CatalogEntry is frozen
+    yield entry.id
+    object.__setattr__(entry, "rhs", original)
+
+
+def test_run_suite_counts_closed_form_failures(failing_closed_form):
+    report = verifier.run_suite([failing_closed_form, "F01Bessel"], 4, 0)
+    broken, other = report.summaries
+    assert (broken.passed, broken.failed, broken.skipped) == (0, 4, 0)
+    assert broken.worst_rel_err is None
+    assert other.failed == 0
+    assert report.total_failed == len(report.failures) == 4
+    assert {r.failure_kind for r in report.failures} == {verifier.CLOSED_FORM_FAILED}
+    assert verifier.report_summary(report, include_timing=False)["total_failed"] == 4
+
+
+def test_verify_exits_1_on_closed_form_failures(failing_closed_form, capsys):
+    assert cli.main(["verify", "--only", failing_closed_form, "--cases", "3"]) == 1
+    assert "total failures: 3" in capsys.readouterr().out
