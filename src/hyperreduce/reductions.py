@@ -9,7 +9,10 @@ a cancellation-based error estimate (magnitude * machine epsilon).  Their
 parameter names and annotations are the catalog's request keys and kinds (see
 ``catalog.CatalogEntry``).  They assume arguments that ``catalog._validate``
 has accepted and do not check their formula's domain again; the exported
-lemmas below them check their own input.
+lemmas below them check their own input.  No ``*_rhs`` and no lemma calls the
+series oracle ``eval_pfq``, so a defect in the oracle cannot hit both sides of
+a verification; only expand_main and reduce_corollary (the identity itself, a
+sum of pFq values) and the fit in pfp_polynomial_coeffs do.
 """
 
 from __future__ import annotations
@@ -605,10 +608,15 @@ def bateman_next(a: float, n: int) -> float:
 
 
 def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> float:
-    """n-th derivative of z^gamma * B_z(alpha, beta) in closed form.
+    """n-th derivative of z^gamma * B_z(alpha, beta) in closed form,
+    (-1)^n z^(gamma-n) [(-gamma)_n B_z(alpha, beta) - z^alpha sum_{k<n}
+    C(n, k+1) (-gamma)_{n-k-1} (1-alpha)_k 2F1(alpha, 1-beta; alpha-k; z)].
 
-    At z = 1 (requires beta > n) incomplete_beta returns the complete beta
-    and the correction sum vanishes identically, so it is skipped."""
+    B_z is incomplete_beta's continued fraction.  Each inner 2F1 carries the
+    contiguous pair alpha over alpha - k, so it collapses to F21Contiguous's
+    (k+1)-term sum f21_contiguous_rhs(1 - beta, alpha - k, k, z).  At z = 1
+    (requires beta > n) incomplete_beta returns the complete beta and the
+    correction sum vanishes identically, so it is skipped."""
     if n < 0:
         raise DomainError("n must be non-negative")
     if alpha <= 0.0:
@@ -620,12 +628,12 @@ def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> f
     main = pochhammer(-gamma, n) * incomplete_beta(z, alpha, beta)
     corr = 0.0
     for k in range(n if z < 1.0 else 0):
-        inner = eval_pfq(PFQSpec([alpha, 1.0 - beta], [alpha - k], z), tol=1e-16)
+        inner, _ = f21_contiguous_rhs(1.0 - beta, alpha - k, k, z)
         corr += (
             binomial(n, k + 1)
             * pochhammer(-gamma, n - k - 1)
             * pochhammer(1.0 - alpha, k)
-            * inner.value
+            * inner
         )
     value = z ** (gamma - n) * (main - z**alpha * corr)
     return value if n % 2 == 0 else -value

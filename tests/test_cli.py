@@ -300,3 +300,23 @@ def test_reduce_overflow_names_the_entry(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: F21Contiguous: " in captured.err
+
+
+def test_reduce_incomplete_beta_near_unity(capsys):
+    # B_z(a, 0.7) at z = 0.999999 by the symmetry B(a, b) - B_{1-z}(b, a):
+    # within 1e-14 of 3F2(0.5, 1.5, 0.3; 1.5, 2.5; 0.999999) = 1.09628532976971449
+    # (mpmath at 30 digits), where the Gauss series stopped at its term cap.
+    assert run(["reduce", "Mp1FmIncBeta", "--a", "0.5,1.5", "--b", "0.3", "--z", "0.999999"]) == 0
+    out = capsys.readouterr().out
+    assert "value       = 1.09628532976971" in out
+    value = float(out.split("value       = ")[1].split()[0])
+    assert value == pytest.approx(1.09628532976971448593, rel=1e-14)
+
+
+def test_reduce_incomplete_beta_fraction_not_converged_exits_3(capsys):
+    # Mp1FmIncBeta with a = 2, b = 2.5 needs B_z(2, -1.5); at z = 0.99999 its
+    # continued fraction does not converge within the step limit.
+    assert run(["reduce", "Mp1FmIncBeta", "--a", "2", "--b", "2.5", "--z", "0.99999"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "z = 0.99999, a = 2.0, b = -1.5 did not converge" in captured.err

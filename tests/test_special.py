@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperreduce.catalog import POLE_DIST
-from hyperreduce.errors import DomainError, PoleError
+from hyperreduce.errors import DomainError, HyperreduceError, PoleError
 from hyperreduce.special import (
     EULER_GAMMA,
     bateman_g,
@@ -178,10 +178,10 @@ def test_incomplete_beta_quad_oracle():
         b = rng.uniform(-3.0, 4.0)
         z = rng.uniform(0.05, 0.95)
         oracle, err = scipy.integrate.quad(
-            lambda t: t ** (a - 1.0) * (1.0 - t) ** (b - 1.0), 0.0, z
+            lambda t: t ** (a - 1.0) * (1.0 - t) ** (b - 1.0), 0.0, z, epsabs=0.0, epsrel=1e-13
         )
-        assert err < 5e-8
-        assert incomplete_beta(z, a, b) == pytest.approx(oracle, rel=1e-7, abs=1e-10)
+        assert err < 1e-12 * oracle
+        assert incomplete_beta(z, a, b) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_incomplete_beta_at_one():
@@ -190,6 +190,48 @@ def test_incomplete_beta_at_one():
     )
     with pytest.raises(DomainError):
         incomplete_beta(1.0, 1.2, -0.5)
+
+
+# The incomplete beta's continued fraction (DLMF 8.17.22, with the symmetry
+# of DLMF 8.17.4 past its turning point) against mpmath at 30 digits.  Over
+# the 13 528 calls that verify makes at 200 cases and seeds 1, 1 000 001 and
+# 2 000 001 (every fifth checked) the worst relative error was 7.1e-15.
+_beta_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _beta_rel_err(z, a, b):
+    with mpmath.workdps(30):
+        return _rel_err(incomplete_beta(z, a, b), mpmath.betainc(a, b, 0, z))
+
+
+@_beta_settings
+@given(a=st.floats(0.3, 10.0), b=st.floats(-5.5, 3.0), z=st.floats(1e-3, 0.9))
+@example(a=2.5, b=-3.0, z=0.9)
+@example(a=0.3, b=-5.5, z=0.9)
+@example(a=1.5, b=-2.0, z=0.5)
+def test_incomplete_beta_against_mpmath(a, b, z):
+    assert _beta_rel_err(z, a, b) <= 1e-13
+
+
+@_beta_settings
+@given(a=st.floats(0.3, 10.0), b=st.floats(0.01, 3.0), z=st.floats(0.5, 1.0 - 1e-6))
+@example(a=10.0, b=0.01, z=1.0 - 1e-6)
+def test_incomplete_beta_near_unity_against_mpmath(a, b, z):
+    assert _beta_rel_err(z, a, b) <= 1e-13
+
+
+def test_incomplete_beta_near_unity_regression():
+    # The Gauss series used to stop at its 200 000-term cap here and return a
+    # value 4.1e-3 off; the symmetry B(a, b) - B_{1-z}(b, a) needs a few steps.
+    assert _beta_rel_err(0.999999, 0.5, 0.3) <= 1e-14
+
+
+def test_incomplete_beta_fraction_fails_loudly():
+    # For b <= 0 there is no symmetry, and near z = 1 the fraction converges
+    # too slowly for its step limit: it raises, naming its arguments, where
+    # the series route returned a value 26 % off.
+    with pytest.raises(HyperreduceError, match=r"z = 0\.99999, a = 2\.0, b = -1\.5"):
+        incomplete_beta(0.99999, 2.0, -1.5)
 
 
 def test_incomplete_beta_domain():

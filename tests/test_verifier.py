@@ -141,22 +141,23 @@ def test_summary_matches_results():
 # Hash of the deterministic report (summary without timing, plus JSONL) at
 # 30 cases per entry.  A refactor must leave both unchanged; a change that
 # alters a reported number must say so and update them on purpose.  Last
-# changed by taking Gamma and log|Gamma| from the math module in place of a
-# Lanczos fit: only the rhs and rel_err of 364 (seed 0) and 376 (seed 1) of
-# the 840 rows moved, all in the 13 entries with a gamma factor (five Bessel,
-# F32HalfPlusM, F32HalfMinusM, six z = 1), and with them those entries'
-# worst_rel_err; no verdict changed.
+# changed by taking the incomplete beta from its continued fraction and
+# h_derivative's inner 2F1 from F21Contiguous's finite sum, in place of the
+# series oracle: only the rhs and rel_err of 134 (seed 0) and 129 (seed 1) of
+# the 840 rows moved, all in the five incomplete-beta entries (Pp3Fp2IncBeta,
+# Pp3Fp2H, Pp2Fp1IncBeta, Pp2Fp1Literature, Mp1FmIncBeta), and with them those
+# entries' worst_rel_err; no verdict changed.
 GOLDEN_REPORT_SHA256 = {
-    0: "021130f2d968500ca014dbc8d53f05a655c44d3fb630d75450896fc14f23e513",
-    1: "bba33217e979b7915bccbcea883cf9f85aef719fe6baf88670a75023db2d05d5",
+    0: "ad3eeb1f9bad337e8ca5698bf5946c8ec933daad67ba82496a6fd97d79d2ae53",
+    1: "4698b5ee78f433ae4a2fbc528e3bc95fdd124eaca32d2179f2201877dcc4a18b",
 }
 
 
 # The same hash over the 22 interior (z != 1) entries only.  Their oracle never
 # sees |z| = 1, so a change to the z = 1 summation must leave these unchanged.
 GOLDEN_INTERIOR_SHA256 = {
-    0: "d367dabd7998a1673eee95f54fee8df416b2b206439e8268e473c62714ccefcb",
-    1: "ad8c79621e62b2d015219d325eede643a189b518a9afa5389658f703f900e287",
+    0: "4dee7e4120f1a68821c66eb70f5b340dbaa0050b769f2681ab6b7629df20c26a",
+    1: "63e29cee3b1949b07047ba04bb6ff8b2b9a8e5ca3dbc375d7b7d3883fbb95f7b",
 }
 
 
