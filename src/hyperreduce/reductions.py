@@ -12,7 +12,7 @@ has accepted and do not check their formula's domain again; the exported
 lemmas below them check their own input.  No ``*_rhs`` and no lemma calls the
 series oracle ``eval_pfq``, so a defect in the oracle cannot hit both sides of
 a verification; only expand_main and reduce_corollary (the identity itself, a
-sum of pFq values) and the fit in pfp_polynomial_coeffs do.
+sum of pFq values) and shifted_pfp_damped (the oracle's reference) do.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     DegenerateParametersError,
     DomainError,
 )
-from .series import EvalResult, PFQSpec, Status, eval_pfq
+from .series import EvalResult, PFQSpec, Status, eval_pfq, is_nonpositive_integer
 from .special import (
     bateman_g,
     bessel_i,
@@ -684,33 +684,32 @@ def shifted_pfp_damped(a: Sequence[float], n: Sequence[int], z: float) -> float:
 def pfp_polynomial_coeffs(
     a: Sequence[float], n: Sequence[int], z_nodes: Sequence[float]
 ) -> list[float]:
-    """Fit e^{-z} pFp(a+n; a; z) by the degree-(sum n) polynomial through the
-    first sum(n)+1 nodes; returns ascending monomial coefficients.
+    """Ascending coefficients of e^{-z} pFp(a+n; a; z), a polynomial of degree sum(n).
 
-    The caller checks the conjecture by verifying that the top divided
-    difference over all sum(n)+2 nodes vanishes."""
+    With P(k) = prod_i (a_i+k)_{n_i} / (a_i)_{n_i}, the z^j coefficient is
+    Delta^j P(0) / j! (Newton series), that of the falling factorial k^(j) in
+    P.  Each factor is sum_j C(n_i, j) k^(j) / (a_i)_j, and k^(i) k^(j) =
+    sum_l C(i, l) j!/(j-l)! k^(i+j-l): no summand cancels when every a_i > 0.
+    The z_nodes serve the caller's divided-difference check and do not enter
+    the coefficients.  A non-positive integer a_i raises DomainError."""
     p = len(a)
-    if p not in (1, 2, 3) or len(n) != p:
-        raise DomainError("requires len(a) = len(n) = p in {1,2,3}")
+    if p not in (1, 2, 3) or len(n) != p or min(n) < 0:
+        raise DomainError("requires len(a) = len(n) = p in {1,2,3} and every n_i >= 0")
+    if any(map(is_nonpositive_integer, a)):
+        raise DomainError(f"requires no a_i at a non-positive integer, got {list(a)}")
     degree = sum(n)
     if len(z_nodes) != degree + 2:
         raise DomainError(f"requires {degree + 2} nodes, got {len(z_nodes)}")
-    for i in range(len(z_nodes)):
-        for j in range(i + 1, len(z_nodes)):
-            if abs(z_nodes[i] - z_nodes[j]) < 1e-12:
-                raise DegenerateNodesError("coincident interpolation nodes")
-    fit_nodes = list(z_nodes[: degree + 1])
-    fit_values = [shifted_pfp_damped(a, n, x) for x in fit_nodes]
-    # Newton form, then expansion to monomial coefficients.
-    newton = [
-        divided_difference(fit_nodes[: i + 1], fit_values[: i + 1])
-        for i in range(degree + 1)
-    ]
-    coeffs = [0.0] * (degree + 1)
-    coeffs[0] = newton[degree]
-    for level in range(degree - 1, -1, -1):
-        # multiply running polynomial by (x - node[level]) and add newton[level]
-        for i in range(degree, 0, -1):
-            coeffs[i] = coeffs[i - 1] - fit_nodes[level] * coeffs[i]
-        coeffs[0] = newton[level] - fit_nodes[level] * coeffs[0]
+    nodes = sorted(z_nodes)
+    if any(y - x < 1e-12 for x, y in zip(nodes, nodes[1:])):
+        raise DegenerateNodesError("coincident interpolation nodes")
+    coeffs = [1.0]  # of k^(0), k^(1), ... in the product of the factors so far
+    for ai, ni in zip(a, n):
+        factor = [binomial(ni, j) / pochhammer(ai, j) for j in range(ni + 1)]
+        product = [0.0] * (len(coeffs) + ni)
+        for i, ci in enumerate(coeffs):
+            for j, fj in enumerate(factor):
+                for ell in range(min(i, j) + 1):
+                    product[i + j - ell] += ci * fj * (math.comb(i, ell) * math.perm(j, ell))
+        coeffs = product
     return coeffs

@@ -56,7 +56,10 @@ SMALL_TERM_STREAK = 3
 # RICHARDSON_NOISE * eps * sqrt(N) * sum|t_k| times the table's amplification
 # prod_j (2^sigma_j + 1) / (2^sigma_j - 1): term k carries the rounding of the
 # k products that formed it, which grows like sqrt(k).  The error estimate is
-# RICHARDSON_SAFETY times the last change of the diagonal plus that floor.
+# RICHARDSON_SAFETY times the last change of the diagonal plus that floor.  A
+# sum of k terms that is not extrapolated has the floor RICHARDSON_NOISE * eps
+# * sqrt(k (p+q+1)) * sum|t_k|, counting the p+q+1 rounded operations per
+# term (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
 RICHARDSON_FIRST_N = 16
 RICHARDSON_MIN_LEVELS = 3
 RICHARDSON_NOISE = 2.0
@@ -129,10 +132,12 @@ def eval_pfq(
 
     Stops when the running term stays below tol * |partial sum| for three
     consecutive terms (CONVERGED), when an upper parameter terminates the
-    series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED).  The
-    spec is checked once, in this order: finiteness, one loop over the upper
-    parameters for the terminating order and one over the lower ones for a
-    pole, then the convergence rules.  The terms are summed by a loop
+    series exactly (TERMINATED), or at max_terms (MAX_TERMS_REACHED), with
+    abs_err_est the rounding floor (see RICHARDSON_NOISE; 0 at order 0) plus a
+    geometric tail bound (CONVERGED) or k times the last term (at the cap).
+    The spec is checked once, in this order: finiteness, one loop over the
+    upper parameters for the terminating order and one over the lower ones for
+    a pole, then the convergence rules.  The terms are summed by a loop
     generated for the shape (len(upper), len(lower)) and cached (see
     _off_circle_loop); it forms each term bitwise as the per-parameter
     recurrence does.
@@ -193,7 +198,7 @@ def eval_pfq(
     total, abs_sum, term, prev, k, converged = _off_circle_loop(p, q)(
         upper, lower, z, n_stop if terminates else max_terms, tol
     )
-    rounding = _EPS * abs_sum
+    rounding = RICHARDSON_NOISE * _EPS * math.sqrt(k * (p + q + 1)) * abs_sum
     if converged:
         # Geometric tail bound from the last ratio |t_k / t_{k-1}|; for slowly
         # decaying (algebraic) tails the ratio is near 1 and the bound
@@ -284,7 +289,7 @@ def _off_circle_loop(p: int, q: int):
 def _extrapolate_on_circle(
     spec: PFQSpec, margin: float, max_terms: int, tol: float
 ) -> EvalResult:
-    """Extrapolate the unit-circle partial sums at N = 16 * 2^i terms."""
+    """Extrapolate the unit-circle (q = p - 1) partial sums at N = 16 * 2^i terms."""
     sigma = margin + (0.0 if spec.z > 0.0 else 1.0)
     row: list[float] = []  # the newest row of the Richardson table
     divisors: list[float] = []  # 2^sigma_j - 1
@@ -313,12 +318,8 @@ def _extrapolate_on_circle(
         # Past 2^64 a correction is below rounding; the cap keeps it finite.
         divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
         amplification *= 1.0 + 2.0 / divisors[-1]
-    return EvalResult(
-        value=total,
-        abs_err_est=abs(term) * max_terms + _EPS * abs_sum,
-        terms_used=max_terms,
-        status=Status.MAX_TERMS_REACHED,
-    )
+    rounding = RICHARDSON_NOISE * _EPS * math.sqrt(max_terms * 2 * len(spec.upper)) * abs_sum
+    return EvalResult(total, abs(term) * max_terms + rounding, max_terms, Status.MAX_TERMS_REACHED)
 
 
 def _circle_partial_sums(

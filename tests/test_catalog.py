@@ -24,10 +24,11 @@ def test_catalog_size_and_ordinals():
 
 
 def test_no_closed_form_reaches_the_oracle(monkeypatch):
-    # Every closed form and special function is independent of the series
-    # oracle, so a defect in eval_pfq cannot hit both sides of a verdict.
-    # expand_main, reduce_corollary and pfp_polynomial_coeffs call it on
-    # purpose, and no entry uses them.
+    # Every closed form, special function and lemma is independent of the
+    # series oracle, so a defect in eval_pfq cannot hit both sides of a
+    # verdict.  expand_main, reduce_corollary and shifted_pfp_damped (the
+    # oracle's side of the polynomial check) call it on purpose, and no entry
+    # uses them.
     def stub(*args, **kwargs):
         raise AssertionError("a closed form called eval_pfq")
 
@@ -38,6 +39,8 @@ def test_no_closed_form_reaches_the_oracle(monkeypatch):
     assert len(requests) == 28
     for req in requests:
         assert math.isfinite(catalog.reduce(req).value)
+    coeffs = hyperreduce.pfp_polynomial_coeffs([1.3, 2.1], [1, 2], [-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert len(coeffs) == 4
 
 
 def test_unknown_id():

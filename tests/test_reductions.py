@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -30,7 +31,7 @@ from hyperreduce.reductions import (
     require_distinct,
     shifted_pfp_damped,
 )
-from hyperreduce.series import PFQSpec, Status, eval_pfq
+from hyperreduce.series import PFQSpec, Status, eval_pfq, is_nonpositive_integer
 from hyperreduce.special import bateman_g, complete_beta, incomplete_beta, pochhammer
 
 mp.mp.dps = 30
@@ -288,6 +289,37 @@ def test_reduce_corollary_missing_pair():
         reduce_corollary(PFQSpec([0.7, 2.0], [1.9, 1.0], 0.5), 0.5, 1)
 
 
+# Parameters in [-3.5, 5], at least 0.05 from the poles 0, -1, -2, ...; p <= q + 1
+# <= 4, z in [-10, 10] when p <= q and in [-0.99, 0.99] when p = q + 1; n <= 15.
+_off_pole = st.floats(-3.5, 5.0).filter(lambda x: not is_nonpositive_integer(x, within=0.05))
+_identity_case = st.integers(0, 3).flatmap(
+    lambda q: st.integers(0, q + 1).flatmap(
+        lambda p: st.tuples(
+            st.lists(_off_pole, min_size=p, max_size=p),
+            st.lists(_off_pole, min_size=q, max_size=q),
+            st.floats(-0.99, 0.99) if p == q + 1 else st.floats(-10.0, 10.0),
+            _off_pole,
+            st.integers(0, 15),
+        )
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_identity_case)
+def test_identity_estimate_bounds_the_error(case):
+    # Both the expansion and the collapse stay within their estimates of the
+    # pFq they stand for, at 30 digits.
+    upper, lower, z, c, n = case
+    expanded = expand_main(PFQSpec(upper, lower, z), c, n)
+    collapsed = reduce_corollary(PFQSpec(upper + [c + n], lower + [c], z), c, n)
+    with mp.workdps(30):
+        ref = mp.hyper(upper, lower, z)
+        assert abs(mp.mpf(expanded.value) - ref) <= expanded.abs_err_est
+        ref = mp.hyper(upper + [c + n], lower + [c], z)
+        assert abs(mp.mpf(collapsed.value) - ref) <= collapsed.abs_err_est
+
+
 # -- polynomial form of pFp with integer-shifted upper parameters ------------
 
 
@@ -330,6 +362,43 @@ def test_pfp_polynomial_validation():
         pfp_polynomial_coeffs([1.0, 2.0], [1], [0.0, 0.5, 1.0])  # length mismatch
     with pytest.raises(DegenerateNodesError):
         divided_difference([0.0, 0.0], [1.0, 2.0])
+
+
+def _pfp_coeffs_exact(a, n):
+    """Delta^j P(0) / j! in rationals, P(k) = prod (a_i + k)_{n_i} / (a_i)_{n_i}."""
+    a = [Fraction(x) for x in a]
+
+    def P(k):
+        return math.prod((ai + k + t) / (ai + t) for ai, ni in zip(a, n) for t in range(ni))
+
+    values = [P(k) for k in range(sum(n) + 1)]
+    return [
+        sum((-1) ** (j - k) * math.comb(j, k) * values[k] for k in range(j + 1))
+        / math.factorial(j)
+        for j in range(len(values))
+    ]
+
+
+def test_pfp_polynomial_is_exact():
+    # Each coefficient to within 1e-15 relative of the rational one.
+    rng = np.random.default_rng(35)
+    for _ in range(60):
+        p = int(rng.integers(1, 4))
+        a = [float(x) for x in rng.uniform(0.3, 4.0, p)]
+        n = [int(x) for x in rng.integers(0, 4, p)]
+        nodes = list(np.linspace(-2.0, 2.0, sum(n) + 2))
+        coeffs = pfp_polynomial_coeffs(a, n, nodes)
+        exact = _pfp_coeffs_exact(a, n)
+        assert len(coeffs) == len(exact)
+        for got, want in zip(coeffs, exact):
+            assert abs(Fraction(got) - want) <= Fraction(1e-15) * abs(want)
+
+
+def test_pfp_polynomial_rejects_nonpositive_integer_a():
+    # At a = -2, n = 1 the function is e^{-z} (1 + z/2), no polynomial.
+    for a in ([-2.0], [0.0, 1.5], [1.5, -1.0 + 1e-13]):
+        with pytest.raises(DomainError):
+            pfp_polynomial_coeffs(a, [1] * len(a), [0.1 * i for i in range(len(a) + 2)])
 
 
 # -- the two printed variants of the shifted half-argument formula -----------

@@ -298,7 +298,8 @@ def _per_term_off_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
                 break
         else:
             streak = 0
-    rounding = eps * abs_sum
+    width = len(spec.upper) + len(spec.lower) + 1  # rounded operations per term
+    rounding = RICHARDSON_NOISE * eps * math.sqrt(k * width) * abs_sum
     if status is Status.TERMINATED:
         err = rounding
     elif status is Status.CONVERGED:
@@ -394,6 +395,49 @@ def test_overflow_mid_series_matches_per_term_loop(spec):
         got = _outcome(eval_pfq, spec, DEFAULT_MAX_TERMS, DEFAULT_TOL)
     assert got is OverflowError
     assert got == _outcome(_per_term_off_circle, spec, DEFAULT_MAX_TERMS, DEFAULT_TOL)
+
+
+# Parameters in [-4.5, 5], at least 0.05 from the poles 0, -1, -2, ...
+_off_pole = st.floats(-4.5, 5.0).filter(lambda x: not is_nonpositive_integer(x, within=0.05))
+# (upper, lower, z): terminating of order <= 40 with |z| <= 3, confluent
+# (p <= q <= 3) with |z| <= 20, and p = q + 1 with |z| <= 0.95.
+_terminating_spec = st.tuples(
+    st.integers(0, 40),
+    st.lists(_off_pole, max_size=2),
+    st.lists(_off_pole, max_size=3),
+    st.floats(-3.0, 3.0),
+).map(lambda t: ([-float(t[0])] + t[1], t[2], t[3]))
+_confluent_spec = st.integers(0, 3).flatmap(
+    lambda q: st.tuples(
+        st.lists(_off_pole, max_size=q),
+        st.lists(_off_pole, min_size=q, max_size=q),
+        st.floats(-20.0, 20.0),
+    )
+)
+_inside_spec = st.integers(0, 2).flatmap(
+    lambda q: st.tuples(
+        st.lists(_off_pole, min_size=q + 1, max_size=q + 1),
+        st.lists(_off_pole, min_size=q, max_size=q),
+        st.floats(-0.95, 0.95),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=st.one_of(_terminating_spec, _confluent_spec, _inside_spec))
+# 1.16e-8 off, where the floor eps * sum|t_k| read 8.2e-10.
+@example(
+    drawn=(
+        [-40.0, 0.37987343522049616, 1.3732929532160303],
+        [4.301976010783306, 1.1427708533639303],
+        -0.8497447608061075,
+    )
+)
+def test_off_circle_estimate_bounds_the_error(drawn):
+    res = eval_pfq(PFQSpec(*drawn))
+    with mpmath.workdps(30):
+        ref = mpmath.hyper(*drawn)
+        assert abs(mpmath.mpf(res.value) - ref) <= res.abs_err_est
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +583,9 @@ def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
     for n, total, _, abs_sum, term in _per_term_partial_sums(spec, max_terms):
         k = n - 1
         if k == max_terms:
-            return EvalResult(total, abs(term) * k + eps * abs_sum, k, Status.MAX_TERMS_REACHED)
+            width = len(spec.upper) + len(spec.lower) + 1
+            rounding = RICHARDSON_NOISE * eps * math.sqrt(k * width) * abs_sum
+            return EvalResult(total, abs(term) * k + rounding, k, Status.MAX_TERMS_REACHED)
         prev_row, row = row, [total]
         for j, prev in enumerate(prev_row):
             row.append(row[j] + (row[j] - prev) / divisors[j])
