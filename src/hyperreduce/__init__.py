@@ -12,7 +12,6 @@ from .catalog import (
     sample_request,
 )
 from .errors import (
-    DegenerateNodesError,
     DegenerateParametersError,
     DivergentSeriesError,
     DomainError,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .reductions import (
     bateman_next,
-    divided_difference,
     expand_main,
     h_derivative,
     pfp_polynomial_coeffs,
@@ -62,7 +60,6 @@ __all__ = [
     "lhs_spec",
     "reduce",
     "sample_request",
-    "DegenerateNodesError",
     "DegenerateParametersError",
     "DivergentSeriesError",
     "DomainError",
@@ -72,7 +69,6 @@ __all__ = [
     "PoleError",
     "UnsatisfiableDomainError",
     "bateman_next",
-    "divided_difference",
     "expand_main",
     "h_derivative",
     "pfp_polynomial_coeffs",

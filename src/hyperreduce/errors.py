@@ -17,10 +17,6 @@ class DegenerateParametersError(DomainError):
     """Parameters that must be pairwise distinct are (nearly) coincident."""
 
 
-class DegenerateNodesError(DomainError):
-    """Interpolation nodes are not pairwise distinct."""
-
-
 class DivergentSeriesError(HyperreduceError):
     """The hypergeometric series diverges for the given spec."""
 

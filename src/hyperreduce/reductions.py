@@ -20,11 +20,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import (
-    DegenerateNodesError,
-    DegenerateParametersError,
-    DomainError,
-)
+from .errors import DegenerateParametersError, DomainError
 from .series import EvalResult, PFQSpec, Status, eval_pfq, is_nonpositive_integer
 from .special import (
     bateman_g,
@@ -588,6 +584,8 @@ def psi_sum_alternating(b: float, n: int) -> float:
     """Closed form of sum_k C(n,k)(-1)^k psi(b+k) = -(n-1)!/(b)_n, n >= 1."""
     if n < 1:
         raise DomainError("requires n >= 1")
+    if not -math.inf < b < math.inf:
+        raise DomainError(f"requires a finite b, got {b}")
     den = pochhammer(b, n)
     if den == 0.0:
         raise ZeroDivisionError(f"({b})_{n} = 0")
@@ -616,11 +614,12 @@ def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> f
     contiguous pair alpha over alpha - k, so it collapses to F21Contiguous's
     (k+1)-term sum f21_contiguous_rhs(1 - beta, alpha - k, k, z).  At z = 1
     (requires beta > n) incomplete_beta returns the complete beta and the
-    correction sum vanishes identically, so it is skipped."""
+    correction sum vanishes identically, so it is skipped.  A non-finite
+    beta raises DomainError from incomplete_beta."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    if alpha <= 0.0:
-        raise DomainError("requires alpha > 0")
+    if not (0.0 < alpha < math.inf and -math.inf < gamma < math.inf):
+        raise DomainError(f"requires 0 < alpha < inf and a finite gamma, got {alpha}, {gamma}")
     if not 0.0 < z <= 1.0:
         raise DomainError("requires 0 < z <= 1")
     if z == 1.0 and beta <= n:
@@ -645,6 +644,8 @@ def ratio_derivative(m: int, alpha: float, beta: float, z: float) -> float:
         raise DomainError("m must be non-negative")
     if not 0.0 < z < 1.0:
         raise DomainError("requires 0 < z < 1")
+    if not (-math.inf < alpha < math.inf and -math.inf < beta < math.inf):
+        raise DomainError(f"requires finite alpha and beta, got {alpha}, {beta}")
     inner = _terminating_2f1(m, 1.0 - m + alpha - beta, 1.0 - m + alpha, z)
     return (
         z ** (alpha - m)
@@ -659,21 +660,6 @@ def ratio_derivative(m: int, alpha: float, beta: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def divided_difference(nodes: Sequence[float], values: Sequence[float]) -> float:
-    """Top (len-1)-th divided difference of the tabulated values."""
-    if len(nodes) != len(values):
-        raise ValueError("nodes and values must have equal length")
-    table = list(values)
-    size = len(table)
-    for level in range(1, size):
-        for i in range(size - level):
-            dx = nodes[i + level] - nodes[i]
-            if dx == 0.0:
-                raise DegenerateNodesError("coincident interpolation nodes")
-            table[i] = (table[i + 1] - table[i]) / dx
-    return table[0]
-
-
 def shifted_pfp_damped(a: Sequence[float], n: Sequence[int], z: float) -> float:
     """e^{-z} * pFp(a_1+n_1..a_p+n_p; a_1..a_p; z)."""
     upper = [ai + ni for ai, ni in zip(a, n)]
@@ -681,28 +667,19 @@ def shifted_pfp_damped(a: Sequence[float], n: Sequence[int], z: float) -> float:
     return math.exp(-z) * res.value
 
 
-def pfp_polynomial_coeffs(
-    a: Sequence[float], n: Sequence[int], z_nodes: Sequence[float]
-) -> list[float]:
+def pfp_polynomial_coeffs(a: Sequence[float], n: Sequence[int]) -> list[float]:
     """Ascending coefficients of e^{-z} pFp(a+n; a; z), a polynomial of degree sum(n).
 
     With P(k) = prod_i (a_i+k)_{n_i} / (a_i)_{n_i}, the z^j coefficient is
     Delta^j P(0) / j! (Newton series), that of the falling factorial k^(j) in
     P.  Each factor is sum_j C(n_i, j) k^(j) / (a_i)_j, and k^(i) k^(j) =
     sum_l C(i, l) j!/(j-l)! k^(i+j-l): no summand cancels when every a_i > 0.
-    The z_nodes serve the caller's divided-difference check and do not enter
-    the coefficients.  A non-positive integer a_i raises DomainError."""
-    p = len(a)
-    if p not in (1, 2, 3) or len(n) != p or min(n) < 0:
-        raise DomainError("requires len(a) = len(n) = p in {1,2,3} and every n_i >= 0")
-    if any(map(is_nonpositive_integer, a)):
-        raise DomainError(f"requires no a_i at a non-positive integer, got {list(a)}")
-    degree = sum(n)
-    if len(z_nodes) != degree + 2:
-        raise DomainError(f"requires {degree + 2} nodes, got {len(z_nodes)}")
-    nodes = sorted(z_nodes)
-    if any(y - x < 1e-12 for x, y in zip(nodes, nodes[1:])):
-        raise DegenerateNodesError("coincident interpolation nodes")
+    Any p >= 1 is accepted.  A non-finite a_i or one at a non-positive
+    integer raises DomainError."""
+    if not a or len(n) != len(a) or min(n) < 0:
+        raise DomainError("requires len(a) = len(n) >= 1 and every n_i >= 0")
+    if not all(-math.inf < ai < math.inf and not is_nonpositive_integer(ai) for ai in a):
+        raise DomainError(f"requires every a_i finite and off 0, -1, -2, ..., got {list(a)}")
     coeffs = [1.0]  # of k^(0), k^(1), ... in the product of the factors so far
     for ai, ni in zip(a, n):
         factor = [binomial(ni, j) / pochhammer(ai, j) for j in range(ni + 1)]

@@ -167,7 +167,7 @@ def _lentz(b0: float, steps: Iterator[tuple[float, float]]) -> float | None:
 
 
 def incomplete_beta(z: float, a: float, b: float) -> float:
-    """Incomplete beta B_z(a, b) for 0 < z <= 1, a > 0.
+    """Incomplete beta B_z(a, b) for 0 < z <= 1, a > 0 and finite b.
 
     For z < 1 it is the continued fraction of DLMF 8.17.22,
     B_z(a, b) = z^a (1-z)^b / a * 1/(1 + d_1/(1 + d_2/(1 + ...))), by the
@@ -180,8 +180,10 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
     within _FRACTION_MAX_STEPS steps raises HyperreduceError; for b <= 0 that
     happens near z = 1.  At z = 1 (requires b > 0) the complete beta is used.
     """
-    if a <= 0.0:
-        raise DomainError(f"incomplete beta requires a > 0, got a = {a}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"incomplete beta requires 0 < a < inf, got a = {a}")
+    if not -math.inf < b < math.inf:
+        raise DomainError(f"incomplete beta requires a finite b, got b = {b}")
     if not 0.0 < z <= 1.0:
         raise DomainError(f"incomplete beta requires 0 < z <= 1, got z = {z}")
     if z == 1.0:

@@ -1,6 +1,6 @@
 """Acceptance suite: ten end-to-end properties checked against independent
 oracles (direct series summation, high-precision differentiation, direct
-finite sums, divided differences).  Each test prints one pass/fail line;
+finite sums, a second closed form).  Each test prints one pass/fail line;
 run with `pytest -s tests/test_acceptance.py` to see them.
 """
 
@@ -16,9 +16,9 @@ from hyperreduce import catalog, reductions as rd, verifier
 from hyperreduce.catalog import ReductionRequest
 from hyperreduce.reductions import (
     bateman_next,
-    divided_difference,
     expand_main,
     h_derivative,
+    pfp_polynomial_coeffs,
     psi_sum_alternating,
     psi_sum_closed,
     ratio_derivative,
@@ -193,6 +193,8 @@ def test_criterion_07_ratio_derivative():
 
 
 def test_criterion_08_polynomial_conjecture():
+    # Two routes to e^{-z} pFp(a+n; a; z): the closed-form polynomial of
+    # degree N = sum(n) and the oracle's damped series, at N + 2 nodes.
     rng = np.random.default_rng(108)
     worst = 0.0
     for _ in range(20):
@@ -202,14 +204,14 @@ def test_criterion_08_polynomial_conjecture():
             if 1 <= sum(shifts) <= 5:
                 break
         a = [float(rng.uniform(0.4, 3.0)) for _ in range(p)]
-        degree = sum(shifts)
-        nodes = np.linspace(-1.0, 1.0, degree + 2)
-        values = [shifted_pfp_damped(a, shifts, float(x)) for x in nodes]
-        dd = divided_difference(list(nodes), values)
-        ratio = abs(dd) / max(abs(v) for v in values)
-        worst = max(worst, ratio)
-    ok = worst <= 1e-8
-    _report(8, ok, f"damped shifted-pFp polynomial degree check, worst divided "
+        coeffs = pfp_polynomial_coeffs(a, shifts)
+        nodes = [float(x) for x in np.linspace(-1.0, 1.0, sum(shifts) + 2)]
+        values = [shifted_pfp_damped(a, shifts, x) for x in nodes]
+        poly = [sum(c * x**j for j, c in enumerate(coeffs)) for x in nodes]
+        diff = max(abs(u - v) for u, v in zip(poly, values))
+        worst = max(worst, diff / max(abs(v) for v in values))
+    ok = worst <= 1e-12
+    _report(8, ok, f"damped shifted-pFp polynomial against the oracle, worst "
                    f"difference ratio {worst:.2e}")
 
 
@@ -253,9 +255,49 @@ def test_criterion_09_cross_form_equivalences():
         v1, _ = rd.f32_p0_rhs(b, c, b, n, m, z)
         v2, _ = rd.f21_contiguous_rhs(b + m, c, n, z)
         worst_p0 = max(worst_p0, abs(v1 - v2) / max(abs(v2), 1e-12))
-    ok = worst_h <= 1e-9 and worst_unity <= 1e-10 and worst_p0 <= 1e-11
+
+    # Specializations on the verifier's seed-1 draws: a shift at 0 removes a
+    # contiguous pair, F43UnityNM is Pp3Fp2Unity at p = 1, and the Bateman-G
+    # form of 2F1(a, a+n; a+1; 1/2) is F21Contiguous's elementary sum.
+    def laguerre_22(s, sh, z):
+        return (ReductionRequest("F22Laguerre", s, {**sh, "m": 0}, z),
+                ReductionRequest("F11Laguerre", {"a": s["a"]}, {"n": sh["n"]}, z))
+
+    def laguerre_33(s, sh, z):
+        return (ReductionRequest("F33Laguerre", s, {**sh, "k": 0}, z),
+                ReductionRequest("F22Laguerre", {"a": s["a"], "b": s["b"]},
+                                 {"n": sh["n"], "m": sh["m"]}, z))
+
+    def unity_nm(s, sh, z):
+        return (ReductionRequest("F43UnityNM", s, sh, z),
+                ReductionRequest("Pp3Fp2Unity",
+                                 {"a": (s["b"],), "b": s["a"], "c": s["b"] + 1.0, "d": s["c"]},
+                                 {"n": sh["n"] - 1, "m": sh["m"]}))
+
+    def half_bateman(s, sh, z):
+        if sh["n"] < 1:
+            return None
+        return (ReductionRequest("F21HalfBateman", s, sh, z),
+                ReductionRequest("F21Contiguous", {"b": s["a"], "c": s["a"] + 1.0},
+                                 {"n": sh["n"] - 1}, 0.5))
+
+    worst_routes = {}
+    for entry_id, pair in (("F22Laguerre", laguerre_22), ("F33Laguerre", laguerre_33),
+                           ("F43UnityNM", unity_nm), ("F21HalfBateman", half_bateman)):
+        worst_routes[entry_id] = 0.0
+        for case in verifier.sample_cases(entry_id, 50, 1):
+            req = case.request
+            requests = pair(req.scalars, req.shifts, req.z)
+            if requests is None:
+                continue
+            v1, v2 = (catalog.reduce(r).value for r in requests)
+            rel = abs(v1 - v2) / max(abs(v2), 1e-12)
+            worst_routes[entry_id] = max(worst_routes[entry_id], rel)
+    routes = " / ".join(f"{w:.2e}" for w in worst_routes.values())
+    ok = (worst_h <= 1e-9 and worst_unity <= 1e-10 and worst_p0 <= 1e-11
+          and max(worst_routes.values()) <= 1e-11)
     _report(9, ok, f"cross-form equivalences, worst rel errs {worst_h:.2e} / "
-                   f"{worst_unity:.2e} / {worst_p0:.2e}")
+                   f"{worst_unity:.2e} / {worst_p0:.2e} / {routes}")
 
 
 def test_criterion_10_half_minus_disambiguation():

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from hyperreduce import ReductionRequest, lhs_spec, reduce, reductions
 from hyperreduce.errors import (
-    DegenerateNodesError,
     DegenerateParametersError,
     DomainError,
 )
 from hyperreduce.reductions import (
     bateman_next,
-    divided_difference,
     expand_main,
     f21_neg_unit_bateman_rhs,
     f21_neg_unit_direct_rhs,
@@ -102,6 +100,34 @@ def test_closed_forms_reject_minus_infinity():
         bateman_next(-math.inf, 2)
     with pytest.raises(DomainError):
         psi_sum_closed(-math.inf, 1.0, 2)
+    # A NaN or infinite parameter once gave nan, -0.0, ZeroDivisionError or a
+    # non-converged continued fraction here.
+    nan, inf = math.nan, math.inf
+    for call in (
+        lambda: psi_sum_alternating(nan, 2),
+        lambda: psi_sum_alternating(inf, 2),
+        lambda: psi_sum_alternating(-inf, 2),
+        lambda: ratio_derivative(1, nan, 0.5, 0.3),
+        lambda: ratio_derivative(1, -inf, 0.5, 0.3),
+        lambda: ratio_derivative(1, 1.0, inf, 0.3),
+        lambda: ratio_derivative(1, 1.0, nan, 0.3),
+        lambda: h_derivative(1, nan, 0.5, 0.3, 0.5),
+        lambda: h_derivative(1, inf, 0.5, 0.3, 0.5),
+        lambda: h_derivative(1, 1.0, nan, 0.3, 0.5),
+        lambda: h_derivative(1, 1.0, -inf, 0.3, 0.5),
+        lambda: h_derivative(1, 1.0, 0.5, nan, 0.5),
+        lambda: h_derivative(1, 1.0, 0.5, inf, 0.5),
+        lambda: h_derivative(1, 1.0, 0.5, -inf, 0.5),
+        lambda: pfp_polynomial_coeffs([nan], [2]),
+        lambda: pfp_polynomial_coeffs([1.5, inf], [1, 1]),
+        lambda: incomplete_beta(0.5, nan, 1.0),
+        lambda: incomplete_beta(0.5, inf, 1.0),
+        lambda: incomplete_beta(0.5, 1.0, nan),
+        lambda: incomplete_beta(0.5, 1.0, -inf),
+        lambda: incomplete_beta(1.0, 1.0, nan),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_bateman_next_base():
@@ -325,15 +351,14 @@ def test_identity_estimate_bounds_the_error(case):
 
 def test_pfp_polynomial_trivial():
     # e^{-z} 1F1(2;1;z) = 1 + z
-    coeffs = pfp_polynomial_coeffs([1.0], [1], [-0.5, 0.2, 0.9])
+    coeffs = pfp_polynomial_coeffs([1.0], [1])
     assert coeffs == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_pfp_polynomial_matches_laguerre():
     # e^{-z} 1F1(a+n;a;z) = (n!/(a)_n) L_n^(a-1)(-z)
     a, n = 2.0, 2
-    nodes = [-0.8, -0.3, 0.1, 0.6]
-    coeffs = pfp_polynomial_coeffs([a], [n], nodes)
+    coeffs = pfp_polynomial_coeffs([a], [n])
     for z in (-0.9, 0.0, 0.7):
         poly = sum(c * z**j for j, c in enumerate(coeffs))
         expected = (
@@ -344,24 +369,22 @@ def test_pfp_polynomial_matches_laguerre():
         assert poly == pytest.approx(expected, rel=1e-10)
 
 
-def test_pfp_polynomial_divided_difference_vanishes():
+def test_pfp_polynomial_matches_oracle():
+    # Two routes: the closed-form polynomial and the oracle's damped pFp agree
+    # at N + 2 nodes, so the values lie on a polynomial of degree N.
     a = [1.3, 2.1]
     n = [1, 2]
-    nodes = list(np.linspace(-1.0, 1.0, sum(n) + 2))
+    coeffs = pfp_polynomial_coeffs(a, n)
+    nodes = [float(x) for x in np.linspace(-1.0, 1.0, sum(n) + 2)]
     values = [shifted_pfp_damped(a, n, x) for x in nodes]
-    dd = divided_difference(nodes, values)
-    assert abs(dd) <= 1e-8 * max(abs(v) for v in values)
+    poly = [sum(c * x**j for j, c in enumerate(coeffs)) for x in nodes]
+    worst = max(abs(u - v) for u, v in zip(poly, values))
+    assert worst <= 1e-12 * max(abs(v) for v in values)
 
 
 def test_pfp_polynomial_validation():
     with pytest.raises(DomainError):
-        pfp_polynomial_coeffs([1.0], [1], [0.0, 1.0])  # wrong node count
-    with pytest.raises(DegenerateNodesError):
-        pfp_polynomial_coeffs([1.0], [1], [0.0, 0.0, 1.0])
-    with pytest.raises(DomainError):
-        pfp_polynomial_coeffs([1.0, 2.0], [1], [0.0, 0.5, 1.0])  # length mismatch
-    with pytest.raises(DegenerateNodesError):
-        divided_difference([0.0, 0.0], [1.0, 2.0])
+        pfp_polynomial_coeffs([1.0, 2.0], [1])  # length mismatch
 
 
 def _pfp_coeffs_exact(a, n):
@@ -383,11 +406,10 @@ def test_pfp_polynomial_is_exact():
     # Each coefficient to within 1e-15 relative of the rational one.
     rng = np.random.default_rng(35)
     for _ in range(60):
-        p = int(rng.integers(1, 4))
+        p = int(rng.integers(1, 7))
         a = [float(x) for x in rng.uniform(0.3, 4.0, p)]
         n = [int(x) for x in rng.integers(0, 4, p)]
-        nodes = list(np.linspace(-2.0, 2.0, sum(n) + 2))
-        coeffs = pfp_polynomial_coeffs(a, n, nodes)
+        coeffs = pfp_polynomial_coeffs(a, n)
         exact = _pfp_coeffs_exact(a, n)
         assert len(coeffs) == len(exact)
         for got, want in zip(coeffs, exact):
@@ -398,7 +420,7 @@ def test_pfp_polynomial_rejects_nonpositive_integer_a():
     # At a = -2, n = 1 the function is e^{-z} (1 + z/2), no polynomial.
     for a in ([-2.0], [0.0, 1.5], [1.5, -1.0 + 1e-13]):
         with pytest.raises(DomainError):
-            pfp_polynomial_coeffs(a, [1] * len(a), [0.1 * i for i in range(len(a) + 2)])
+            pfp_polynomial_coeffs(a, [1] * len(a))
 
 
 # -- the two printed variants of the shifted half-argument formula -----------
