@@ -8,7 +8,7 @@ constraints, and a sampling domain for randomized verification.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,11 +55,11 @@ class CatalogEntry:
     - The domain is checked in one place for every caller (``reduce``,
       ``lhs_spec`` and ``sample_request``).  Shared rules come first: each
       name in ``positive`` must be > 0; each list parameter must be pairwise
-      distinct with every element > 0.  Then ``check`` adds only the rules
-      specific to the entry (poles, bounds tied to shifts, the z range), and
-      last, when ``fixed_z == 1``, ``lhs(p)`` must converge at z = 1.
+      distinct with every element > 0.  Then come the entry's own ``rules``
+      (poles, bounds tied to shifts, the z range; see ``_rule``), and last,
+      when ``fixed_z == 1``, ``lhs(p)`` must converge at z = 1.
     - ``constraints`` reads in that order: ``_register`` writes the shared
-      rules, and a registration's ``constraints=`` states what ``check`` adds.
+      rules, then the text of each of ``rules``.
     - ``ordinal`` is the registration order.  It seeds the entry's sampling
       stream, so reordering entries changes every verifier report.
 
@@ -78,15 +78,15 @@ class CatalogEntry:
     positive: tuple[str, ...]
     lhs: Callable[[dict], PFQSpec]
     rhs: Callable[..., tuple[float, float]]
-    check: Callable[[dict], None] | None
+    rules: tuple[tuple[str, Callable[[dict], bool], type[DomainError]], ...]
     draw: Callable[[np.random.Generator], dict]
 
     __slots__ = tuple(__annotations__)
-    _SHOWN = __slots__[:9]  # the repr leaves out the four callables
+    _SHOWN = __slots__[:9]  # the repr leaves out the callables and the rules
     _FIELDS = frozenset(__slots__)
 
     def __init__(self, **fields) -> None:
-        fields = {"fixed_z": None, "positive": (), "check": None, **fields}
+        fields = {"fixed_z": None, "positive": (), "rules": (), **fields}
         if fields.keys() != self._FIELDS:
             raise TypeError(f"CatalogEntry: missing fields {sorted(self._FIELDS - fields.keys())}, "
                             f"unknown fields {sorted(fields.keys() - self._FIELDS)}")
@@ -126,15 +126,15 @@ def _rhs_signature(rhs: Callable, fixed_z: float | None) -> tuple[tuple[str, ...
     return names[: len(names) - len(shifts)], tuple(kinds["Sequence[float]"]), shifts
 
 
-def _register(id: str, constraints: str = "", **fields) -> None:
+def _register(id: str, **fields) -> None:
     scalars, lists, shifts = _rhs_signature(fields["rhs"], fields.get("fixed_z"))
-    rules = [", ".join(fields["positive"]) + " > 0"] if fields.get("positive") else []
-    rules += [f"{name}'s > 0 pairwise distinct" for name in lists]
-    rules += [constraints] if constraints else []
-    rules += ["convergent at z = 1"] if fields.get("fixed_z") == 1.0 else []
+    clauses = [", ".join(fields["positive"]) + " > 0"] if fields.get("positive") else []
+    clauses += [f"{name}'s > 0 pairwise distinct" for name in lists]
+    clauses += [text for text, _, _ in fields.get("rules", ())]
+    clauses += ["convergent at z = 1"] if fields.get("fixed_z") == 1.0 else []
     _ENTRIES[id] = CatalogEntry(id=id, ordinal=len(_ENTRIES), scalar_names=scalars,
                                 list_names=lists, shift_names=shifts,
-                                constraints="; ".join(rules), **fields)
+                                constraints="; ".join(clauses), **fields)
 
 
 def catalog_ids() -> list[str]:
@@ -215,8 +215,9 @@ def _validate(entry: CatalogEntry, p: dict) -> None:
         for value in p[name]:
             if not value > 0.0:
                 raise DomainError(f"requires every {name} > 0")
-    if entry.check is not None:
-        entry.check(p)
+    for text, holds, error in entry.rules:
+        if not holds(p):
+            raise error(f"requires {text}")
     if entry.unity and unity_margin(entry.lhs(p)) <= 0.0:
         raise DomainError("series does not converge at z = 1")
 
@@ -295,22 +296,26 @@ def _distinct_list(
 # ---------------------------------------------------------------------------
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
+def _rule(text: str, holds: Callable[[dict], bool], error: type[DomainError] = DomainError):
+    """One domain rule, stated once: where ``holds(p)`` is false, ``_validate``
+    raises ``error("requires <text>")``, and ``text`` is its constraints clause."""
+    return text, holds, error
 
 
-def _require_off_poles(values: Sequence[float], what: str) -> None:
-    if any(is_nonpositive_integer(x, POLE_DIST) for x in values):
-        raise DomainError(f"{what} too close to a non-positive integer")
+def _off_poles(values: Iterable[float]) -> bool:
+    return not any(is_nonpositive_integer(x, POLE_DIST) for x in values)
 
 
-def _z_in_unit_interval(p: dict) -> None:
-    _require(0.0 < p["z"] < 1.0, "requires 0 < z < 1")
+_A_BELOW_1 = _rule("a < 1", lambda p: 1.0 - p["a"] > 0.0)
+_Z_IN_UNIT_INTERVAL = _rule("0 < z < 1", lambda p: 0.0 < p["z"] < 1.0)
+_Z_IN_UNIT_DISK = _rule("|z| < 1", lambda p: abs(p["z"]) < 1.0)
+_N_POSITIVE_A_BELOW_1 = (_rule("n >= 1", lambda p: p["n"] >= 1), _A_BELOW_1)
 
 
-def _z_in_unit_disk(p: dict) -> None:
-    _require(abs(p["z"]) < 1.0, "requires |z| < 1")
+def _a_above(shift: str):
+    # The inner Gauss series carry lower parameters a - k for k < the shift.
+    return _rule(f"a's > {shift} - 1 + {POLE_DIST}",
+                 lambda p: all(al - (p[shift] - 1) > POLE_DIST for al in p["a"]))
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +389,6 @@ _register(
 )
 
 
-def _f32_half_minus_check(p: dict) -> None:
-    m = p["m"]
-    _require_off_poles(
-        [(p["b"] - p["a"] + 1.0) / 2.0 - m, (p["b"] - p["a"] + 1.0) / 2.0],
-        "gamma prefactor argument",
-    )
-    # Inner gamma arguments (1+b+k+s)/2 - m for k+s >= 0 must stay off poles.
-    _require_off_poles([(1.0 + p["b"]) / 2.0 - m], "inner gamma argument")
-    _require((1.0 + p["b"]) / 2.0 - m > 0.0, "requires (1+b)/2 > m")
-
-
 def _f32_half_minus_draw(rng: np.random.Generator) -> dict:
     m = _n(rng, 0, 3)
     a = _u(rng, 0.3, 1.5)
@@ -411,7 +405,14 @@ _register(
     ),
     rhs=rd.f32_half_minus_signed_rhs,
     positive=("a", "c"),
-    check=_f32_half_minus_check,
+    rules=(
+        _rule("(b-a+1)/2 - m, (b-a+1)/2 off poles",
+              lambda p: _off_poles(((p["b"] - p["a"] + 1.0) / 2.0 - p["m"],
+                                    (p["b"] - p["a"] + 1.0) / 2.0))),
+        # Inner gamma arguments (1+b+k+s)/2 - m for k+s >= 0 must stay off poles.
+        _rule("(1+b)/2 - m off poles", lambda p: _off_poles(((1.0 + p["b"]) / 2.0 - p["m"],))),
+        _rule("(1+b)/2 > m", lambda p: (1.0 + p["b"]) / 2.0 - p["m"] > 0.0),
+    ),
     draw=_f32_half_minus_draw,
     description=(
         "3F2(a,b-m,c+n; (a+b+1)/2,c; 1/2) as a double binomial sum of "
@@ -419,16 +420,10 @@ _register(
         "two candidate printed forms this is the one that survives oracle "
         "testing (the other is kept in tests as a negative control)"
     ),
-    constraints="(1+b)/2 > m; (b-a+1)/2, (b-a+1)/2 - m, (1+b)/2 - m off poles",
     fixed_z=0.5,
 )
 
 # -- z = 1 psi/beta family ---------------------------------------------------
-
-
-def _f32_unity_jl_check(p: dict) -> None:
-    _require(1.0 - p["a"] > 0.0, "requires a < 1")
-    _require_off_poles([1.0 + p["b"] - p["a"]], "psi argument")
 
 
 _register(
@@ -436,26 +431,13 @@ _register(
     lhs=lambda p: PFQSpec([p["a"], p["b"], p["b"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]),
     rhs=rd.f32_unity_jl_rhs,
     positive=("b",),
-    check=_f32_unity_jl_check,
+    rules=(_A_BELOW_1, _rule("1+b-a off poles", lambda p: _off_poles((1.0 + p["b"] - p["a"],)))),
     draw=lambda rng: {"a": _u(rng, -3.0, 0.4), "b": _u(rng, 0.3, 3.0)},
     description=(
         "3F2(a,b,b; b+1,b+1; 1) as b^2 B(1-a,b) [psi(1+b-a) - psi(b)]"
     ),
-    constraints="a < 1; 1+b-a off poles",
     fixed_z=1.0,
 )
-
-
-def _f43_unity_check(p: dict) -> None:
-    _require(1.0 - p["a"] > 0.0, "requires a < 1")
-    if abs(p["b"] - p["c"]) < POLE_DIST:
-        raise DegenerateParametersError(f"requires |b - c| >= {POLE_DIST}")
-    n = p["n"]
-    _require_off_poles(
-        [1.0 + p["b"] - p["a"], 1.0 + p["b"] - p["c"], 1.0 + p["b"] - p["c"] - n],
-        "psi argument",
-    )
-    _require_off_poles([p["c"] - p["b"] + j for j in range(n)], "(c-b)_n factor")
 
 
 _register(
@@ -467,7 +449,16 @@ _register(
     ),
     rhs=rd.f43_unity_rhs,
     positive=("b", "c"),
-    check=_f43_unity_check,
+    rules=(
+        _A_BELOW_1,
+        _rule(f"|b - c| >= {POLE_DIST}", lambda p: not abs(p["b"] - p["c"]) < POLE_DIST,
+              DegenerateParametersError),
+        _rule("1+b-a, 1+b-c, 1+b-c-n off poles",
+              lambda p: _off_poles((1.0 + p["b"] - p["a"], 1.0 + p["b"] - p["c"],
+                                    1.0 + p["b"] - p["c"] - p["n"]))),
+        _rule("(c-b)_n off poles",
+              lambda p: _off_poles(p["c"] - p["b"] + j for j in range(p["n"]))),
+    ),
     draw=lambda rng: (
         lambda n: {
             "a": _u(rng, -3.0, 0.4) - n,
@@ -480,14 +471,8 @@ _register(
         "4F3(a,b,b,c+n; b+1,b+1,c; 1) as b^2 B(1-a,b) (c-b)_n/(c)_n times a "
         "four-term psi combination, b != c"
     ),
-    constraints=f"a < 1; |b - c| >= {POLE_DIST}; 1+b-a, 1+b-c, 1+b-c-n and (c-b)_n off poles",
     fixed_z=1.0,
 )
-
-def _f32_unity_bb_check(p: dict) -> None:
-    _require(p["n"] >= 1, "requires n >= 1")
-    _require(1.0 - p["a"] > 0.0, "requires a < 1")
-
 
 _register(
     "F32UnityBB",
@@ -496,21 +481,15 @@ _register(
     ),
     rhs=rd.f32_unity_bb_rhs,
     positive=("b",),
-    check=_f32_unity_bb_check,
+    rules=_N_POSITIVE_A_BELOW_1,
     draw=lambda rng: (
         lambda n: {"a": _u(rng, -3.0, 0.45) - n, "b": _u(rng, 0.3, 3.0), "n": n}
     )(_n(rng, 1, 4)),
     description=(
         "3F2(a,b,b+n; b+1,b+1; 1) as (n-1)! b^2 B(1-a,b) / (b)_n, n >= 1"
     ),
-    constraints="n >= 1; a < 1",
     fixed_z=1.0,
 )
-
-
-def _f43_unity_nm_check(p: dict) -> None:
-    _f32_unity_bb_check(p)
-    _require_off_poles([p["c"] - p["b"] + j for j in range(p["m"])], "(c-b)_m factor")
 
 
 _register(
@@ -522,7 +501,11 @@ _register(
     ),
     rhs=rd.f43_unity_nm_rhs,
     positive=("b", "c"),
-    check=_f43_unity_nm_check,
+    rules=(
+        *_N_POSITIVE_A_BELOW_1,
+        _rule("(c-b)_m off poles",
+              lambda p: _off_poles(p["c"] - p["b"] + j for j in range(p["m"]))),
+    ),
     draw=lambda rng: (
         lambda n, m: {
             "a": _u(rng, -3.0, 0.4) - n - m,
@@ -536,7 +519,6 @@ _register(
         "4F3(a,b,b+n,c+m; b+1,b+1,c; 1) as the F32UnityBB value times "
         "(c-b)_m/(c)_m, n >= 1"
     ),
-    constraints="n >= 1; a < 1; (c-b)_m off poles",
     fixed_z=1.0,
 )
 
@@ -724,7 +706,7 @@ _register(
         list(p["a"]) + [p["b"]], [al + 1.0 for al in p["a"]], p["z"]
     ),
     rhs=rd.m1m_inc_beta_rhs,
-    check=_z_in_unit_interval,
+    rules=(_Z_IN_UNIT_INTERVAL,),
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 4), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -734,7 +716,6 @@ _register(
         "(m+1)Fm(b,a_1..a_m; a_1+1..a_m+1; z) as a partial-fraction sum of "
         "incomplete beta values, pairwise-distinct a's"
     ),
-    constraints="0 < z < 1",
 )
 
 def _pp2_lhs(p: dict) -> PFQSpec:
@@ -750,7 +731,7 @@ _register(
     lhs=_pp2_lhs,
     rhs=rd.pp2_inc_beta_rhs,
     positive=("c",),
-    check=_z_in_unit_interval,
+    rules=(_Z_IN_UNIT_INTERVAL,),
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 3), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -762,16 +743,7 @@ _register(
         "(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; z) as a binomial sum of "
         "incomplete-beta partial fractions"
     ),
-    constraints="0 < z < 1",
 )
-
-
-def _pp2_literature_check(p: dict) -> None:
-    n = p["n"]
-    for al in p["a"]:
-        # inner Gauss series carries lower parameters a - k for k < n
-        _require(al - (n - 1) > POLE_DIST, "requires every a > n - 1")
-    _z_in_unit_interval(p)
 
 
 _register(
@@ -779,7 +751,7 @@ _register(
     lhs=_pp2_lhs,
     rhs=rd.pp2_literature_rhs,
     positive=("c",),
-    check=_pp2_literature_check,
+    rules=(_a_above("n"), _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: (
         lambda n: {
             "a": _distinct_list(
@@ -795,7 +767,6 @@ _register(
         "same left-hand side as Pp2Fp1IncBeta, written through the n-th "
         "derivative of z^g B_z(a,b) as found in earlier literature"
     ),
-    constraints="a's > n - 1; 0 < z < 1",
 )
 
 _register(
@@ -803,7 +774,7 @@ _register(
     lhs=lambda p: PFQSpec([p["b"], p["c"] + p["n"]], [p["c"]], p["z"]),
     rhs=rd.f21_contiguous_rhs,
     positive=("c",),
-    check=_z_in_unit_disk,
+    rules=(_Z_IN_UNIT_DISK,),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 3.0),
         "c": _u(rng, 0.5, 4.0),
@@ -814,14 +785,7 @@ _register(
         "2F1(b,c+n; c; z) as (1-z)^(-b) times a terminating binomial sum in "
         "z/(1-z)"
     ),
-    constraints="|z| < 1",
 )
-
-
-def _pp2_unity_check(p: dict) -> None:
-    _require(1.0 - p["b"] > 0.0, "requires b < 1")
-    for al in p["a"]:
-        _require_off_poles([p["c"] - al + j for j in range(p["n"])], "(c-a)_n factor")
 
 
 _register(
@@ -829,7 +793,11 @@ _register(
     lhs=_pp2_lhs,
     rhs=rd.pp2_unity_rhs,
     positive=("c",),
-    check=_pp2_unity_check,
+    rules=(
+        _rule("b < 1", lambda p: 1.0 - p["b"] > 0.0),
+        _rule("(c-a)_n off poles",
+              lambda p: _off_poles(p["c"] - al + j for al in p["a"] for j in range(p["n"]))),
+    ),
     draw=lambda rng: (
         lambda p_count, n: {
             "a": _distinct_list(rng, p_count, 0.3, 4.0),
@@ -842,7 +810,6 @@ _register(
         "(p+2)F(p+1)(a_1..a_p,b,c+n; a_1+1..a_p+1,c; 1) as a beta-function "
         "partial-fraction sum"
     ),
-    constraints="b < 1; (c-a)_n off poles",
     fixed_z=1.0,
 )
 
@@ -855,19 +822,12 @@ def _pp3_lhs(p: dict) -> PFQSpec:
     )
 
 
-def _pp3_h_check(p: dict) -> None:
-    m = p["m"]
-    for al in p["a"]:
-        _require(al - (m - 1) > POLE_DIST, "requires every a > m - 1")
-    _z_in_unit_interval(p)
-
-
 _register(
     "Pp3Fp2H",
     lhs=_pp3_lhs,
     rhs=rd.pp3_h_rhs,
     positive=("c", "d"),
-    check=_pp3_h_check,
+    rules=(_a_above("m"), _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: (
         lambda m: {
             "a": _distinct_list(
@@ -885,7 +845,6 @@ _register(
         "(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; z) through the "
         "m-th derivative of z^g B_z(a,b)"
     ),
-    constraints="a's > m - 1; 0 < z < 1",
 )
 
 _register(
@@ -893,7 +852,7 @@ _register(
     lhs=_pp3_lhs,
     rhs=rd.pp3_inc_beta_rhs,
     positive=("c", "d"),
-    check=_z_in_unit_interval,
+    rules=(_Z_IN_UNIT_INTERVAL,),
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 3), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -907,17 +866,7 @@ _register(
         "same left-hand side as Pp3Fp2H, written directly as a double "
         "binomial sum of incomplete-beta partial fractions"
     ),
-    constraints="0 < z < 1",
 )
-
-
-def _pp3_unity_check(p: dict) -> None:
-    _require(
-        p["b"] < 1.0 - max(p["n"], p["m"]), "requires b < 1 - max(n, m)"
-    )
-    for al in p["a"]:
-        _require_off_poles([p["c"] - al + j for j in range(p["n"])], "(c-a)_n factor")
-        _require_off_poles([p["d"] - al + j for j in range(p["m"])], "(d-a)_m factor")
 
 
 _register(
@@ -925,7 +874,12 @@ _register(
     lhs=_pp3_lhs,
     rhs=rd.pp3_unity_rhs,
     positive=("c", "d"),
-    check=_pp3_unity_check,
+    rules=(
+        _rule("b < 1 - max(n, m)", lambda p: p["b"] < 1.0 - max(p["n"], p["m"])),
+        _rule("(c-a)_n and (d-a)_m off poles",
+              lambda p: _off_poles(p["c"] - al + j for al in p["a"] for j in range(p["n"]))
+              and _off_poles(p["d"] - al + j for al in p["a"] for j in range(p["m"]))),
+    ),
     draw=lambda rng: (
         lambda p_count, n, m: {
             "a": _distinct_list(rng, p_count, 0.3, 4.0),
@@ -941,7 +895,6 @@ _register(
         "(p+3)F(p+2)(a_1..a_p,b,c+n,d+m; a_1+1..a_p+1,c,d; 1) as a pure "
         "beta-function partial-fraction sum, b < 1 - max(n, m)"
     ),
-    constraints="b < 1 - max(n, m); (c-a)_n and (d-a)_m off poles",
     fixed_z=1.0,
 )
 
@@ -952,7 +905,7 @@ _register(
     ),
     rhs=rd.f32_p0_rhs,
     positive=("c", "d"),
-    check=_z_in_unit_disk,
+    rules=(_Z_IN_UNIT_DISK,),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 3.0),
         "c": _u(rng, 0.5, 4.0),
@@ -965,5 +918,4 @@ _register(
         "3F2(b,c+n,d+m; c,d; z), z != 1, as (1-z)^(-b-m) times a binomial sum "
         "with terminating Gauss-series factors"
     ),
-    constraints="|z| < 1",
 )

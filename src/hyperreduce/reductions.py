@@ -18,6 +18,7 @@ sum of pFq values) and shifted_pfp_damped (the oracle's reference) do.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import DegenerateParametersError, DomainError
@@ -59,6 +60,13 @@ class _Acc:
         """Add coef times an inner sum, keeping the magnitude of its summands."""
         self.total += coef * inner.total
         self.magnitude += abs(coef) * inner.magnitude
+
+
+def _shift(name: str, value: object, least: int = 0) -> int:
+    """A lemma's integer shift: what operator.index accepts, at least ``least``."""
+    if not hasattr(value, "__index__") or operator.index(value) < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
 
 
 def require_distinct(values: Sequence[float]) -> None:
@@ -509,8 +517,6 @@ def _pair_sum(
     expand_main (pair adjoined, den = c+n) and reduce_corollary (no pair,
     den = c).  The status is MaxTermsReached when an inner series stopped
     at its cap, Converged otherwise."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
     inner_upper = tuple(upper) + pair[0]
     inner_lower = tuple(lower) + pair[1]
     total = 0.0
@@ -543,12 +549,14 @@ def _pair_sum(
 def expand_main(spec: PFQSpec, c: float, n: int) -> EvalResult:
     """Rewrite pFq(spec) as the finite binomial sum of (p+1)F(q+1) values
     obtained by adjoining the contiguous pair (c+k over c+n+k)."""
+    n = _shift("n", n)
     return _pair_sum(spec.upper, spec.lower, spec.z, n, c + n, ((c,), (c + n,)))
 
 
 def reduce_corollary(spec_with_pair: PFQSpec, c: float, n: int) -> EvalResult:
     """Collapse the contiguous pair (upper c+n, lower c) of a (p+1)F(q+1)
     into the finite binomial sum of shifted pFq values."""
+    n = _shift("n", n)
     upper = list(spec_with_pair.upper)
     lower = list(spec_with_pair.lower)
     try:
@@ -568,6 +576,7 @@ def reduce_corollary(spec_with_pair: PFQSpec, c: float, n: int) -> EvalResult:
 
 def psi_sum_closed(b: float, c: float, n: int) -> float:
     """Closed form of sum_k C(n,k)(-1)^k (b)_k/(c)_k psi(b+k), b != c."""
+    n = _shift("n", n)
     if abs(b - c) < DISTINCT_TOL:
         raise DegenerateParametersError("requires b != c")
     den = pochhammer(c, n)
@@ -582,8 +591,7 @@ def psi_sum_closed(b: float, c: float, n: int) -> float:
 
 def psi_sum_alternating(b: float, n: int) -> float:
     """Closed form of sum_k C(n,k)(-1)^k psi(b+k) = -(n-1)!/(b)_n, n >= 1."""
-    if n < 1:
-        raise DomainError("requires n >= 1")
+    n = _shift("n", n, 1)
     if not -math.inf < b < math.inf:
         raise DomainError(f"requires a finite b, got {b}")
     den = pochhammer(b, n)
@@ -595,8 +603,7 @@ def psi_sum_alternating(b: float, n: int) -> float:
 def bateman_next(a: float, n: int) -> float:
     """G(a+n+1) recursively from G(a)..G(a+n):
     sum_k C(n,k) [1/(a+k) - (n+1)/(n+1-k) G(a+k)]."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    n = _shift("n", n)
     total = 0.0
     for k in range(n + 1):
         total += binomial(n, k) * (
@@ -616,8 +623,7 @@ def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> f
     (requires beta > n) incomplete_beta returns the complete beta and the
     correction sum vanishes identically, so it is skipped.  A non-finite
     beta raises DomainError from incomplete_beta."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    n = _shift("n", n)
     if not (0.0 < alpha < math.inf and -math.inf < gamma < math.inf):
         raise DomainError(f"requires 0 < alpha < inf and a finite gamma, got {alpha}, {gamma}")
     if not 0.0 < z <= 1.0:
@@ -640,8 +646,7 @@ def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> f
 
 def ratio_derivative(m: int, alpha: float, beta: float, z: float) -> float:
     """m-th derivative of z^alpha / (1-z)^beta in closed form, 0 < z < 1."""
-    if m < 0:
-        raise DomainError("m must be non-negative")
+    m = _shift("m", m)
     if not 0.0 < z < 1.0:
         raise DomainError("requires 0 < z < 1")
     if not (-math.inf < alpha < math.inf and -math.inf < beta < math.inf):
@@ -676,8 +681,9 @@ def pfp_polynomial_coeffs(a: Sequence[float], n: Sequence[int]) -> list[float]:
     sum_l C(i, l) j!/(j-l)! k^(i+j-l): no summand cancels when every a_i > 0.
     Any p >= 1 is accepted.  A non-finite a_i or one at a non-positive
     integer raises DomainError."""
-    if not a or len(n) != len(a) or min(n) < 0:
-        raise DomainError("requires len(a) = len(n) >= 1 and every n_i >= 0")
+    if not a or len(n) != len(a):
+        raise DomainError("requires len(a) = len(n) >= 1")
+    n = [_shift("n_i", ni) for ni in n]
     if not all(-math.inf < ai < math.inf and not is_nonpositive_integer(ai) for ai in a):
         raise DomainError(f"requires every a_i finite and off 0, -1, -2, ..., got {list(a)}")
     coeffs = [1.0]  # of k^(0), k^(1), ... in the product of the factors so far

@@ -338,7 +338,7 @@ def test_constraints_state_each_shared_rule_once(entry_id):
         assert clauses.pop(0) == f"{name}'s > 0 pairwise distinct"
     assert (clauses[-1:] == ["convergent at z = 1"]) == entry.unity
     own = "; ".join(clauses[:-1] if entry.unity else clauses)
-    assert bool(own) == (entry.check is not None)
+    assert bool(own) == bool(entry.rules)
     assert "pairwise distinct" not in own and "convergent" not in own
     assert not any(f"{name} > 0" in own for name in POSITIVE[entry_id])
 
@@ -431,6 +431,29 @@ OUT_OF_DOMAIN = [
     ("z=1", ReductionRequest("F32P0", {"b": 0.5, "c": 1.3, "d": 2.5}, {"n": 1, "m": 1}, 1.0)),
     ("z=1.2", ReductionRequest("F32P0", {"b": 0.5, "c": 1.3, "d": 2.5}, {"n": 1, "m": 1}, 1.2)),
     ("repeated-a", ReductionRequest("Pp2Fp1Unity", {"a": (0.5, 0.5), "b": 0.5, "c": 2.5}, {"n": 1})),
+    ("(b-a+1)/2=0", ReductionRequest("F32HalfMinusM", {"a": 2.0, "b": 1.0, "c": 1.3}, {"n": 1, "m": 0})),
+    ("(1+b)/2-m=0.03",
+     ReductionRequest("F32HalfMinusM", {"a": 0.5, "b": 1.06, "c": 1.3}, {"n": 1, "m": 1})),
+    ("(1+b)/2<m", ReductionRequest("F32HalfMinusM", {"a": 0.5, "b": 0.0, "c": 1.3}, {"n": 1, "m": 1})),
+    ("a=1.5", ReductionRequest("F32UnityJL", {"a": 1.5, "b": 1.0}, {})),
+    ("1+b-a=0.03", ReductionRequest("F32UnityJL", {"a": 0.99, "b": 0.02}, {})),
+    ("a=1.5", ReductionRequest("F43Unity", {"a": 1.5, "b": 1.0, "c": 2.5}, {"n": 1})),
+    ("|b-c|<0.05", ReductionRequest("F43Unity", {"a": 0.5, "b": 1.0, "c": 1.01}, {"n": 0})),
+    ("1+b-c=0", ReductionRequest("F43Unity", {"a": 0.5, "b": 1.0, "c": 2.0}, {"n": 1})),
+    ("c-b=-1", ReductionRequest("F43Unity", {"a": 0.5, "b": 2.5, "c": 1.5}, {"n": 1})),
+    ("a=1.5", ReductionRequest("F32UnityBB", {"a": 1.5, "b": 1.0}, {"n": 1})),
+    ("a=1.5", ReductionRequest("F43UnityNM", {"a": 1.5, "b": 1.5, "c": 2.5}, {"n": 1, "m": 1})),
+    ("c-b=-1", ReductionRequest("F43UnityNM", {"a": -1.0, "b": 2.5, "c": 1.5}, {"n": 1, "m": 1})),
+    ("a=n-1", ReductionRequest("Pp2Fp1Literature", {"a": (1.0,), "b": 0.2, "c": 2.5}, {"n": 2}, 0.5)),
+    ("b=1.5", ReductionRequest("Pp2Fp1Unity", {"a": (0.5, 1.5), "b": 1.5, "c": 2.5}, {"n": 1})),
+    ("c-a=-1", ReductionRequest("Pp2Fp1Unity", {"a": (2.5,), "b": -2.0, "c": 1.5}, {"n": 1})),
+    ("a=m-1", ReductionRequest("Pp3Fp2H", {"a": (1.0,), "b": 0.2, "c": 2.5, "d": 1.5}, {"n": 1, "m": 2}, 0.5)),
+    (
+        "c-a=-1",
+        ReductionRequest(
+            "Pp3Fp2Unity", {"a": (2.5,), "b": -2.5, "c": 1.5, "d": 3.5}, {"n": 1, "m": 1}
+        ),
+    ),
 ]
 
 
@@ -451,6 +474,25 @@ def test_domain_is_decided_before_rhs(req):
             catalog.reduce(req)
     finally:
         object.__setattr__(entry, "rhs", original)
+
+
+def test_each_rule_is_broken_alone_by_a_row():
+    # A row that breaks some of its entry's own rules is rejected with the
+    # text of the first, and each rule of each entry is the only one that
+    # some row breaks.
+    alone = set()
+    for _, req in OUT_OF_DOMAIN:
+        entry = catalog.get_entry(req.id)
+        p = {**req.scalars, **req.shifts, "z": req.z if entry.fixed_z is None else entry.fixed_z}
+        broken = [text for text, holds, _ in entry.rules if not holds(p)]
+        if broken:
+            with pytest.raises(DomainError) as info:
+                catalog.reduce(req)
+            assert str(info.value) == f"requires {broken[0]}"
+        if len(broken) == 1:
+            alone.add((req.id, broken[0]))
+    every = {(e, text) for e in catalog.catalog_ids() for text, _, _ in catalog.get_entry(e).rules}
+    assert alone == every
 
 
 def test_uniform_draw_is_generator_uniform():

@@ -120,7 +120,7 @@ def test_verify_usage_errors(capsys):
     assert run(["verify", "--only", ",", "--cases", "1"]) == 2
     capsys.readouterr()
     assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--seed", "-1"]) == 2
-    assert "--seed" in capsys.readouterr().err
+    assert "seed=-1" in capsys.readouterr().err
 
 
 def test_verify_json_round_trip(capsys):

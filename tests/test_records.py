@@ -92,7 +92,7 @@ def test_catalog_entry_is_read_only_but_swappable_by_object_setattr():
 
 
 FIELDS = ("id", "ordinal", "scalar_names", "list_names", "shift_names", "description",
-          "constraints", "fixed_z", "positive", "lhs", "rhs", "check", "draw")
+          "constraints", "fixed_z", "positive", "lhs", "rhs", "rules", "draw")
 
 
 def test_catalog_entry_fields_are_its_slots_and_keywords():
@@ -102,8 +102,8 @@ def test_catalog_entry_fields_are_its_slots_and_keywords():
     # Direct constructor calls: nothing is registered into the catalog.
     assert repr(catalog.CatalogEntry(**fields)) == repr(entry)
     bare = catalog.CatalogEntry(**{k: v for k, v in fields.items()
-                                   if k not in ("fixed_z", "positive", "check")})
-    assert (bare.fixed_z, bare.positive, bare.check) == (None, (), None)
+                                   if k not in ("fixed_z", "positive", "rules")})
+    assert (bare.fixed_z, bare.positive, bare.rules) == (None, (), ())
     with pytest.raises(TypeError, match=r"missing fields \['draw'\], unknown fields \[\]"):
         catalog.CatalogEntry(**{k: v for k, v in fields.items() if k != "draw"})
     with pytest.raises(TypeError, match=r"missing fields \[\], unknown fields \['note'\]"):

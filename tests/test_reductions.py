@@ -128,6 +128,32 @@ def test_closed_forms_reject_minus_infinity():
     ):
         with pytest.raises(DomainError):
             call()
+    # A shift that is no integer >= 0 (>= 1 for psi_sum_alternating) once
+    # raised TypeError from range or math.factorial, naming no parameter.
+    pair = PFQSpec([0.5, 2.2], [1.5, 1.2], 0.3)
+    for name, call in (
+        ("n_i", lambda: pfp_polynomial_coeffs([1.0], [1.5])),
+        ("n_i", lambda: pfp_polynomial_coeffs([1.0, 2.0], [1, -1])),
+        ("n", lambda: psi_sum_alternating(1.0, 2.5)),
+        ("n", lambda: psi_sum_alternating(1.0, 0)),
+        ("n", lambda: psi_sum_closed(0.5, 1.5, 2.5)),
+        ("n", lambda: psi_sum_closed(0.5, 1.5, -1)),
+        ("n", lambda: bateman_next(1.0, 1.5)),
+        ("n", lambda: bateman_next(1.0, 2.0)),
+        ("n", lambda: h_derivative(1.5, 1.0, 0.5, 0.3, 0.5)),
+        ("n", lambda: h_derivative(-1, 1.0, 0.5, 0.3, 0.5)),
+        ("m", lambda: ratio_derivative(1.5, 1.0, 0.5, 0.3)),
+        ("m", lambda: ratio_derivative(-1, 1.0, 0.5, 0.3)),
+        ("n", lambda: expand_main(PFQSpec([0.5], [1.5], 0.3), 1.2, 1.5)),
+        ("n", lambda: expand_main(PFQSpec([0.5], [1.5], 0.3), 1.2, -1)),
+        ("n", lambda: reduce_corollary(pair, 1.2, 1.5)),
+        ("n", lambda: reduce_corollary(pair, 1.2, -1)),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= "):
+            call()
+    # What operator.index accepts is a shift.
+    assert bateman_next(1.0, np.int64(2)) == bateman_next(1.0, 2)
+    assert reduce_corollary(pair, 1.2, np.int64(1)) == reduce_corollary(pair, 1.2, 1)
 
 
 def test_bateman_next_base():

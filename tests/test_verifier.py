@@ -17,6 +17,8 @@ def test_sample_cases_deterministic():
     assert a != c
     with pytest.raises(ValueError):
         verifier.sample_cases("F21Contiguous", 0, 42)
+    with pytest.raises(ValueError, match="seed=-1"):
+        verifier.sample_cases("F21Contiguous", 5, -1)
 
 
 def test_case_tolerances_by_entry_kind():
