@@ -8,7 +8,8 @@ constraints, and a sampling domain for randomized verification.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,13 +54,13 @@ class CatalogEntry:
       ``Sequence[float]`` for a list), then shifts (``int``), then ``z`` when
       ``fixed_z`` is None.  It returns ``(value, magnitude)``.
     - The domain is checked in one place for every caller (``reduce``,
-      ``lhs_spec`` and ``sample_request``).  Shared rules come first: each
-      name in ``positive`` must be > 0; each list parameter must be pairwise
-      distinct with every element > 0.  Then come the entry's own ``rules``
-      (poles, bounds tied to shifts, the z range; see ``_rule``), and last,
-      when ``fixed_z == 1``, ``lhs(p)`` must converge at z = 1.
-    - ``constraints`` reads in that order: ``_register`` writes the shared
-      rules, then the text of each of ``rules``.
+      ``lhs_spec`` and ``sample_request``): ``_validate`` applies ``rules``
+      in order and raises for the first that p breaks (see ``_rule``).  An
+      entry states the names that must be > 0 (``_positive``), then, with a
+      list parameter, ``_A_LIST``, then its own rules (poles, bounds tied to
+      shifts, the z range); ``_register`` appends ``convergent at z = 1``
+      when ``fixed_z == 1``.
+    - ``constraints`` is the texts of ``rules``, joined with "; ".
     - ``ordinal`` is the registration order.  It seeds the entry's sampling
       stream, so reordering entries changes every verifier report.
 
@@ -75,18 +76,17 @@ class CatalogEntry:
     description: str
     constraints: str
     fixed_z: float | None
-    positive: tuple[str, ...]
     lhs: Callable[[dict], PFQSpec]
     rhs: Callable[..., tuple[float, float]]
     rules: tuple[tuple[str, Callable[[dict], bool], type[DomainError]], ...]
     draw: Callable[[np.random.Generator], dict]
 
     __slots__ = tuple(__annotations__)
-    _SHOWN = __slots__[:9]  # the repr leaves out the callables and the rules
+    _SHOWN = __slots__[:8]  # the repr leaves out the callables and the rules
     _FIELDS = frozenset(__slots__)
 
     def __init__(self, **fields) -> None:
-        fields = {"fixed_z": None, "positive": (), "rules": (), **fields}
+        fields = {"fixed_z": None, "rules": (), **fields}
         if fields.keys() != self._FIELDS:
             raise TypeError(f"CatalogEntry: missing fields {sorted(self._FIELDS - fields.keys())}, "
                             f"unknown fields {sorted(fields.keys() - self._FIELDS)}")
@@ -126,15 +126,14 @@ def _rhs_signature(rhs: Callable, fixed_z: float | None) -> tuple[tuple[str, ...
     return names[: len(names) - len(shifts)], tuple(kinds["Sequence[float]"]), shifts
 
 
-def _register(id: str, **fields) -> None:
+def _register(id: str, rules: tuple = (), **fields) -> None:
     scalars, lists, shifts = _rhs_signature(fields["rhs"], fields.get("fixed_z"))
-    clauses = [", ".join(fields["positive"]) + " > 0"] if fields.get("positive") else []
-    clauses += [f"{name}'s > 0 pairwise distinct" for name in lists]
-    clauses += [text for text, _, _ in fields.get("rules", ())]
-    clauses += ["convergent at z = 1"] if fields.get("fixed_z") == 1.0 else []
+    if fields.get("fixed_z") == 1.0:
+        lhs = fields["lhs"]
+        rules += (_rule("convergent at z = 1", lambda p: not unity_margin(lhs(p)) <= 0.0),)
     _ENTRIES[id] = CatalogEntry(id=id, ordinal=len(_ENTRIES), scalar_names=scalars,
-                                list_names=lists, shift_names=shifts,
-                                constraints="; ".join(clauses), **fields)
+                                list_names=lists, shift_names=shifts, rules=rules,
+                                constraints="; ".join(text for text, _, _ in rules), **fields)
 
 
 def catalog_ids() -> list[str]:
@@ -148,27 +147,20 @@ def get_entry(entry_id: str) -> CatalogEntry:
         raise KeyError(f"unknown reduction id {entry_id!r}") from None
 
 
-def _signature_mismatch(entry: CatalogEntry, req: ReductionRequest) -> str:
-    parts = []
-    for kind, got, want in (
-        ("scalars", set(req.scalars), set(entry.scalar_names)),
-        ("shifts", set(req.shifts), set(entry.shift_names)),
-    ):
-        if want - got:
-            parts.append(f"missing {kind} {sorted(want - got)}")
-        if got - want:
-            parts.append(f"unexpected {kind} {sorted(got - want)}")
-    return f"{entry.id}: " + "; ".join(parts)
-
-
 def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
     """Check the request against the entry's signature and domain, and
     flatten it into the params dict in rhs argument order: scalars, shifts,
     then z."""
-    if set(req.scalars) != set(entry.scalar_names) or (
-        set(req.shifts) != set(entry.shift_names)
-    ):
-        raise ValueError(_signature_mismatch(entry, req))
+    mismatch = [
+        f"{verb} {kind} {sorted(names)}"
+        for kind, got, want in (("scalars", set(req.scalars), set(entry.scalar_names)),
+                                ("shifts", set(req.shifts), set(entry.shift_names)))
+        if got != want
+        for verb, names in (("missing", want - got), ("unexpected", got - want))
+        if names
+    ]
+    if mismatch:
+        raise ValueError(f"{entry.id}: " + "; ".join(mismatch))
     params: dict = {}
     for name in entry.scalar_names:
         value = req.scalars[name]
@@ -184,15 +176,10 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
             raise DomainError(f"{entry.id}: {name} must be finite, got {value}")
         params[name] = value
     for name in entry.shift_names:
-        shift = req.shifts[name]
-        if not (float(shift).is_integer() and int(shift) == shift >= 0):
-            raise ValueError(f"{entry.id}: shift {name!r} must be a non-negative integer")
-        params[name] = int(shift)
+        params[name] = rd._shift(name, req.shifts[name])
     if entry.fixed_z is not None:
         if req.z is not None and req.z != entry.fixed_z:
-            raise ValueError(
-                f"{entry.id}: z is fixed at {entry.fixed_z}, got {req.z}"
-            )
+            raise ValueError(f"{entry.id}: z is fixed at {entry.fixed_z}, got {req.z}")
         params["z"] = entry.fixed_z
     else:
         if req.z is None:
@@ -207,19 +194,9 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
 
 def _validate(entry: CatalogEntry, p: dict) -> None:
     """Raise DomainError unless p lies in the entry's domain (see CatalogEntry)."""
-    for name in entry.positive:
-        if not p[name] > 0.0:
-            raise DomainError(f"requires {name} > 0")
-    for name in entry.list_names:
-        rd.require_distinct(p[name])
-        for value in p[name]:
-            if not value > 0.0:
-                raise DomainError(f"requires every {name} > 0")
     for text, holds, error in entry.rules:
         if not holds(p):
             raise error(f"requires {text}")
-    if entry.unity and unity_margin(entry.lhs(p)) <= 0.0:
-        raise DomainError("series does not converge at z = 1")
 
 
 def reduce(req: ReductionRequest) -> EvalResult:
@@ -256,9 +233,7 @@ def sample_request(entry_id: str, rng: np.random.Generator) -> ReductionRequest:
             _validate(entry, params)
         except DomainError:
             continue
-        scalars = {
-            name: params[name] for name in entry.scalar_names
-        }
+        scalars = {name: params[name] for name in entry.scalar_names}
         shifts = {name: params[name] for name in entry.shift_names}
         z = None if entry.fixed_z is not None else params["z"]
         return ReductionRequest(entry_id, scalars, shifts, z)
@@ -292,7 +267,7 @@ def _distinct_list(
 
 
 # ---------------------------------------------------------------------------
-# entry-specific domain rules
+# domain rules
 # ---------------------------------------------------------------------------
 
 
@@ -305,6 +280,21 @@ def _rule(text: str, holds: Callable[[dict], bool], error: type[DomainError] = D
 def _off_poles(values: Iterable[float]) -> bool:
     return not any(is_nonpositive_integer(x, POLE_DIST) for x in values)
 
+
+def _pairwise_distinct(values: Sequence[float]) -> bool:
+    return not any(abs(x - y) < rd.DISTINCT_TOL for x, y in combinations(values, 2))
+
+
+def _positive(*names: str):
+    return _rule(", ".join(names) + " > 0", lambda p: min(map(p.__getitem__, names)) > 0.0)
+
+
+# The rules of the list parameter a: the partial-fraction sums divide by a_j - a_l.
+_A_LIST = (
+    _rule("a's pairwise distinct", lambda p: _pairwise_distinct(p["a"]),
+          DegenerateParametersError),
+    _rule("a's > 0", lambda p: min(p["a"]) > 0.0),
+)
 
 _A_BELOW_1 = _rule("a < 1", lambda p: 1.0 - p["a"] > 0.0)
 _Z_IN_UNIT_INTERVAL = _rule("0 < z < 1", lambda p: 0.0 < p["z"] < 1.0)
@@ -329,7 +319,7 @@ _register(
     "F32HalfBateman",
     lhs=lambda p: PFQSpec([p["a"], p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], p["z"]),
     rhs=rd.f32_half_bateman_rhs,
-    positive=("a", "c"),
+    rules=(_positive("a", "c"),),
     draw=lambda rng: {"a": _u(rng, 0.3, 3.0), "c": _u(rng, 0.5, 4.0), "n": _n(rng, 0, 6)},
     description=(
         "3F2(a,a,c+n; a+1,c; 1/2) as a*2^a times a binomial sum of Bateman "
@@ -342,7 +332,7 @@ _register(
     "F21HalfBateman",
     lhs=lambda p: PFQSpec([p["a"], p["a"] + p["n"]], [p["a"] + 1.0], p["z"]),
     rhs=rd.f21_half_bateman_rhs,
-    positive=("a",),
+    rules=(_positive("a"),),
     draw=lambda rng: {"a": _u(rng, 0.3, 3.0), "n": _n(rng, 0, 6)},
     description=(
         "2F1(a,a+n; a+1; 1/2) as a*2^a times a binomial sum of Bateman "
@@ -355,7 +345,7 @@ _register(
     "F21NegUnit",
     lhs=lambda p: PFQSpec([-float(p["n"]), p["a"]], [p["a"] + 1.0], p["z"]),
     rhs=rd.f21_neg_unit_bateman_rhs,
-    positive=("a",),
+    rules=(_positive("a"),),
     draw=lambda rng: {"a": _u(rng, 0.3, 4.0), "n": _n(rng, 0, 6)},
     description=(
         "terminating 2F1(-n,a; a+1; -1) as a binomial sum of Bateman "
@@ -373,7 +363,7 @@ _register(
         p["z"],
     ),
     rhs=rd.f32_half_plus_rhs,
-    positive=("a", "b", "c"),
+    rules=(_positive("a", "b", "c"),),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 2.5),
         "b": _u(rng, 0.3, 2.5),
@@ -404,8 +394,8 @@ _register(
         p["z"],
     ),
     rhs=rd.f32_half_minus_signed_rhs,
-    positive=("a", "c"),
     rules=(
+        _positive("a", "c"),
         _rule("(b-a+1)/2 - m, (b-a+1)/2 off poles",
               lambda p: _off_poles(((p["b"] - p["a"] + 1.0) / 2.0 - p["m"],
                                     (p["b"] - p["a"] + 1.0) / 2.0))),
@@ -430,8 +420,8 @@ _register(
     "F32UnityJL",
     lhs=lambda p: PFQSpec([p["a"], p["b"], p["b"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]),
     rhs=rd.f32_unity_jl_rhs,
-    positive=("b",),
-    rules=(_A_BELOW_1, _rule("1+b-a off poles", lambda p: _off_poles((1.0 + p["b"] - p["a"],)))),
+    rules=(_positive("b"), _A_BELOW_1,
+           _rule("1+b-a off poles", lambda p: _off_poles((1.0 + p["b"] - p["a"],)))),
     draw=lambda rng: {"a": _u(rng, -3.0, 0.4), "b": _u(rng, 0.3, 3.0)},
     description=(
         "3F2(a,b,b; b+1,b+1; 1) as b^2 B(1-a,b) [psi(1+b-a) - psi(b)]"
@@ -448,8 +438,8 @@ _register(
         p["z"],
     ),
     rhs=rd.f43_unity_rhs,
-    positive=("b", "c"),
     rules=(
+        _positive("b", "c"),
         _A_BELOW_1,
         _rule(f"|b - c| >= {POLE_DIST}", lambda p: not abs(p["b"] - p["c"]) < POLE_DIST,
               DegenerateParametersError),
@@ -480,8 +470,7 @@ _register(
         [p["a"], p["b"], p["b"] + p["n"]], [p["b"] + 1.0, p["b"] + 1.0], p["z"]
     ),
     rhs=rd.f32_unity_bb_rhs,
-    positive=("b",),
-    rules=_N_POSITIVE_A_BELOW_1,
+    rules=(_positive("b"), *_N_POSITIVE_A_BELOW_1),
     draw=lambda rng: (
         lambda n: {"a": _u(rng, -3.0, 0.45) - n, "b": _u(rng, 0.3, 3.0), "n": n}
     )(_n(rng, 1, 4)),
@@ -500,8 +489,8 @@ _register(
         p["z"],
     ),
     rhs=rd.f43_unity_nm_rhs,
-    positive=("b", "c"),
     rules=(
+        _positive("b", "c"),
         *_N_POSITIVE_A_BELOW_1,
         _rule("(c-b)_m off poles",
               lambda p: _off_poles(p["c"] - p["b"] + j for j in range(p["m"]))),
@@ -528,7 +517,7 @@ _register(
     "F01Bessel",
     lhs=lambda p: PFQSpec([], [p["b"]], p["z"]),
     rhs=rd.f01_bessel_rhs,
-    positive=("b", "z"),
+    rules=(_positive("b", "z"),),
     draw=lambda rng: {"b": _u(rng, 0.3, 5.0), "z": _u(rng, 0.05, 20.0)},
     description=(
         "0F1(;b;z) in terms of the modified Bessel function of the first kind, "
@@ -540,7 +529,7 @@ _register(
     "F12BesselI",
     lhs=lambda p: PFQSpec([p["c"] + p["n"]], [p["b"], p["c"]], p["z"]),
     rhs=rd.f12_bessel_i_rhs,
-    positive=("b", "c", "z"),
+    rules=(_positive("b", "c", "z"),),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -559,7 +548,7 @@ _register(
         [p["c"] + p["n"], p["d"] + p["m"]], [p["b"], p["c"], p["d"]], p["z"]
     ),
     rhs=rd.f23_bessel_i_rhs,
-    positive=("b", "c", "d", "z"),
+    rules=(_positive("b", "c", "d", "z"),),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -578,7 +567,7 @@ _register(
     "F12BesselJ",
     lhs=lambda p: PFQSpec([p["c"] + p["n"]], [p["b"], p["c"]], -p["z"]),
     rhs=rd.f12_bessel_j_rhs,
-    positive=("b", "c", "z"),
+    rules=(_positive("b", "c", "z"),),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -597,7 +586,7 @@ _register(
         [p["c"] + p["n"], p["d"] + p["m"]], [p["b"], p["c"], p["d"]], -p["z"]
     ),
     rhs=rd.f23_bessel_j_rhs,
-    positive=("b", "c", "d", "z"),
+    rules=(_positive("b", "c", "d", "z"),),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 5.0),
         "c": _u(rng, 0.5, 4.0),
@@ -618,7 +607,7 @@ _register(
     "F11IncGamma",
     lhs=lambda p: PFQSpec([p["a"]], [p["a"] + 1.0], -p["z"]),
     rhs=rd.f11_inc_gamma_rhs,
-    positive=("a", "z"),
+    rules=(_positive("a", "z"),),
     draw=lambda rng: {"a": _u(rng, 0.3, 4.0), "z": _u(rng, 0.1, 8.0)},
     description=(
         "1F1(a; a+1; -z), z > 0, as a z^(-a) times the lower incomplete gamma "
@@ -630,7 +619,7 @@ _register(
     "F22IncGamma",
     lhs=lambda p: PFQSpec([p["a"], p["c"] + p["n"]], [p["a"] + 1.0, p["c"]], -p["z"]),
     rhs=rd.f22_inc_gamma_rhs,
-    positive=("a", "c", "z"),
+    rules=(_positive("a", "c", "z"),),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 4.0),
         "c": _u(rng, 0.5, 4.0),
@@ -647,7 +636,7 @@ _register(
     "F11Laguerre",
     lhs=lambda p: PFQSpec([p["a"] + p["n"]], [p["a"]], p["z"]),
     rhs=rd.f11_laguerre_rhs,
-    positive=("a",),
+    rules=(_positive("a"),),
     draw=lambda rng: {"a": _u(rng, 0.3, 4.0), "n": _n(rng, 0, 6), "z": _u(rng, -3.0, 3.0)},
     description=(
         "1F1(a+n; a; z) as n!/(a)_n e^z times the generalized Laguerre "
@@ -659,7 +648,7 @@ _register(
     "F22Laguerre",
     lhs=lambda p: PFQSpec([p["a"] + p["n"], p["b"] + p["m"]], [p["a"], p["b"]], p["z"]),
     rhs=rd.f22_laguerre_rhs,
-    positive=("a", "b"),
+    rules=(_positive("a", "b"),),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 4.0),
         "b": _u(rng, 0.3, 4.0),
@@ -681,7 +670,7 @@ _register(
         p["z"],
     ),
     rhs=rd.f33_laguerre_rhs,
-    positive=("a", "b", "c"),
+    rules=(_positive("a", "b", "c"),),
     draw=lambda rng: {
         "a": _u(rng, 0.3, 4.0),
         "b": _u(rng, 0.3, 4.0),
@@ -706,7 +695,7 @@ _register(
         list(p["a"]) + [p["b"]], [al + 1.0 for al in p["a"]], p["z"]
     ),
     rhs=rd.m1m_inc_beta_rhs,
-    rules=(_Z_IN_UNIT_INTERVAL,),
+    rules=(*_A_LIST, _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 4), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -730,8 +719,7 @@ _register(
     "Pp2Fp1IncBeta",
     lhs=_pp2_lhs,
     rhs=rd.pp2_inc_beta_rhs,
-    positive=("c",),
-    rules=(_Z_IN_UNIT_INTERVAL,),
+    rules=(_positive("c"), *_A_LIST, _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 3), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -750,8 +738,7 @@ _register(
     "Pp2Fp1Literature",
     lhs=_pp2_lhs,
     rhs=rd.pp2_literature_rhs,
-    positive=("c",),
-    rules=(_a_above("n"), _Z_IN_UNIT_INTERVAL),
+    rules=(_positive("c"), *_A_LIST, _a_above("n"), _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: (
         lambda n: {
             "a": _distinct_list(
@@ -773,8 +760,7 @@ _register(
     "F21Contiguous",
     lhs=lambda p: PFQSpec([p["b"], p["c"] + p["n"]], [p["c"]], p["z"]),
     rhs=rd.f21_contiguous_rhs,
-    positive=("c",),
-    rules=(_Z_IN_UNIT_DISK,),
+    rules=(_positive("c"), _Z_IN_UNIT_DISK),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 3.0),
         "c": _u(rng, 0.5, 4.0),
@@ -792,8 +778,9 @@ _register(
     "Pp2Fp1Unity",
     lhs=_pp2_lhs,
     rhs=rd.pp2_unity_rhs,
-    positive=("c",),
     rules=(
+        _positive("c"),
+        *_A_LIST,
         _rule("b < 1", lambda p: 1.0 - p["b"] > 0.0),
         _rule("(c-a)_n off poles",
               lambda p: _off_poles(p["c"] - al + j for al in p["a"] for j in range(p["n"]))),
@@ -826,8 +813,7 @@ _register(
     "Pp3Fp2H",
     lhs=_pp3_lhs,
     rhs=rd.pp3_h_rhs,
-    positive=("c", "d"),
-    rules=(_a_above("m"), _Z_IN_UNIT_INTERVAL),
+    rules=(_positive("c", "d"), *_A_LIST, _a_above("m"), _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: (
         lambda m: {
             "a": _distinct_list(
@@ -851,8 +837,7 @@ _register(
     "Pp3Fp2IncBeta",
     lhs=_pp3_lhs,
     rhs=rd.pp3_inc_beta_rhs,
-    positive=("c", "d"),
-    rules=(_Z_IN_UNIT_INTERVAL,),
+    rules=(_positive("c", "d"), *_A_LIST, _Z_IN_UNIT_INTERVAL),
     draw=lambda rng: {
         "a": _distinct_list(rng, _n(rng, 1, 3), 0.3, 4.0),
         "b": _u(rng, -2.0, 0.8),
@@ -873,8 +858,9 @@ _register(
     "Pp3Fp2Unity",
     lhs=_pp3_lhs,
     rhs=rd.pp3_unity_rhs,
-    positive=("c", "d"),
     rules=(
+        _positive("c", "d"),
+        *_A_LIST,
         _rule("b < 1 - max(n, m)", lambda p: p["b"] < 1.0 - max(p["n"], p["m"])),
         _rule("(c-a)_n and (d-a)_m off poles",
               lambda p: _off_poles(p["c"] - al + j for al in p["a"] for j in range(p["n"]))
@@ -904,8 +890,7 @@ _register(
         [p["b"], p["c"] + p["n"], p["d"] + p["m"]], [p["c"], p["d"]], p["z"]
     ),
     rhs=rd.f32_p0_rhs,
-    positive=("c", "d"),
-    rules=(_Z_IN_UNIT_DISK,),
+    rules=(_positive("c", "d"), _Z_IN_UNIT_DISK),
     draw=lambda rng: {
         "b": _u(rng, 0.3, 3.0),
         "c": _u(rng, 0.5, 4.0),

@@ -69,16 +69,6 @@ def _shift(name: str, value: object, least: int = 0) -> int:
     return operator.index(value)
 
 
-def require_distinct(values: Sequence[float]) -> None:
-    vs = list(values)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if abs(vs[i] - vs[j]) < DISTINCT_TOL:
-                raise DegenerateParametersError(
-                    f"parameters {vs[i]} and {vs[j]} are (nearly) coincident"
-                )
-
-
 def _partial_fraction_sum(a_list: Sequence[float], f) -> _Acc:
     """sum_l f(a_l) / prod_{j != l} (a_j - a_l), as used by the arbitrary-p
     formulas with pairwise-distinct denominators."""

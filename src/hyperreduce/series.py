@@ -153,15 +153,15 @@ def eval_pfq(
     arrays, with the same values as one at a time, and each partial sum is
     rounded once (math.fsum over its terms), not once per term.
 
-    Raises ValueError unless max_terms >= 1 and 0 < tol < inf, DomainError
-    for a non-finite parameter or z,
+    Raises ValueError unless max_terms is an integer >= 1 and 0 < tol < inf,
+    DomainError for a non-finite parameter or z,
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
     spec cannot be summed at all, and OverflowError when a term overflows or,
     on the unit circle, when a partial sum, the extrapolated value or its
     rounding floor does.
     """
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
+    if not hasattr(max_terms, "__index__") or max_terms < 1:
+        raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     upper, lower, z = spec

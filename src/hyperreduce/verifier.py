@@ -109,8 +109,8 @@ def sample_cases(entry_id: str, count: int, seed: int) -> list[VerificationCase]
     (entry, seed), never on other entries."""
     import numpy as np  # only sampling needs it; importing the package does not
 
-    if count < 1 or seed < 0:
-        raise ValueError(f"requires count >= 1 and seed >= 0, got count={count}, seed={seed}")
+    if not (hasattr(count, "__index__") and hasattr(seed, "__index__") and count >= 1 and seed >= 0):
+        raise ValueError(f"requires integers count >= 1 and seed >= 0, got count={count}, seed={seed}")
     entry = catalog.get_entry(entry_id)
     rng = np.random.default_rng(np.random.SeedSequence([seed, entry.ordinal]))
     return [

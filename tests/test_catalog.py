@@ -13,6 +13,7 @@ from hyperreduce.errors import (
     DegenerateParametersError,
     DomainError,
 )
+from hyperreduce.reductions import DISTINCT_TOL
 from hyperreduce.series import Status, eval_pfq
 
 
@@ -117,16 +118,17 @@ def test_signature_validation():
         catalog.reduce(
             ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 2, "m": 1}, 0.3)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^n must be an integer >= 0"):
         catalog.reduce(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": -1}, 0.3))
     with pytest.raises(ValueError):
         catalog.reduce(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 2}))
     # fixed-z entry: explicit mismatching z rejected
     with pytest.raises(ValueError):
         catalog.reduce(ReductionRequest("F21HalfBateman", {"a": 1.0}, {"n": 1}, 0.3))
-    # a non-finite shift gets the catalog's message, not int()'s own error
-    for shift in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="shift 'n' must be a non-negative integer"):
+    # a shift is what operator.index accepts, as for the lemmas: not 2.0, and
+    # a non-finite shift gets the same message, not int()'s own error
+    for shift in (2.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="^n must be an integer >= 0"):
             catalog.reduce(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": shift}, 0.3))
 
 
@@ -328,17 +330,19 @@ def test_shared_domain_rules_reject(entry_id):
 
 @pytest.mark.parametrize("entry_id", catalog.catalog_ids())
 def test_constraints_state_each_shared_rule_once(entry_id):
-    # The shared rules come first and last, in the order _validate applies
-    # them; what lies between states only what the entry's check adds.
+    # The clauses are the rule texts in the order _validate applies them.
+    # The shared rules come first and last; what lies between states only
+    # what the entry's own rules add.
     entry = catalog.get_entry(entry_id)
     clauses = entry.constraints.split("; ")
+    assert clauses == [text for text, _, _ in entry.rules]
     if POSITIVE[entry_id]:
         assert clauses.pop(0) == ", ".join(POSITIVE[entry_id]) + " > 0"
     for name in entry.list_names:
-        assert clauses.pop(0) == f"{name}'s > 0 pairwise distinct"
+        assert clauses.pop(0) == f"{name}'s pairwise distinct"
+        assert clauses.pop(0) == f"{name}'s > 0"
     assert (clauses[-1:] == ["convergent at z = 1"]) == entry.unity
     own = "; ".join(clauses[:-1] if entry.unity else clauses)
-    assert bool(own) == bool(entry.rules)
     assert "pairwise distinct" not in own and "convergent" not in own
     assert not any(f"{name} > 0" in own for name in POSITIVE[entry_id])
 
@@ -379,9 +383,9 @@ DIVERGENT_AT_UNITY = [
 
 @pytest.mark.parametrize("req", DIVERGENT_AT_UNITY, ids=lambda r: r.id)
 def test_unity_margin_rejects(req):
-    with pytest.raises(DomainError, match="does not converge at z = 1"):
+    with pytest.raises(DomainError, match="^requires convergent at z = 1$"):
         catalog.reduce(req)
-    with pytest.raises(DomainError, match="does not converge at z = 1"):
+    with pytest.raises(DomainError, match="^requires convergent at z = 1$"):
         catalog.lhs_spec(req)
 
 
@@ -454,6 +458,91 @@ OUT_OF_DOMAIN = [
             "Pp3Fp2Unity", {"a": (2.5,), "b": -2.5, "c": 1.5, "d": 3.5}, {"n": 1, "m": 1}
         ),
     ),
+    # The shared rules: the names that must be > 0, the list rule, and
+    # convergence at z = 1.
+    ("c=0", ReductionRequest("F32HalfBateman", {"a": 0.6, "c": 0.0}, {"n": 1})),
+    ("a=0", ReductionRequest("F21HalfBateman", {"a": 0.0}, {"n": 1})),
+    ("a<0", ReductionRequest("F21NegUnit", {"a": -0.5}, {"n": 2})),
+    ("b=0", ReductionRequest("F32HalfPlusM", {"a": 0.5, "b": 0.0, "c": 1.3}, {"n": 1, "m": 1})),
+    ("c=0", ReductionRequest("F32HalfMinusM", {"a": 0.5, "b": 1.5, "c": 0.0}, {"n": 1, "m": 0})),
+    ("b=0", ReductionRequest("F32UnityJL", {"a": 0.5, "b": 0.0}, {})),
+    ("c=0", ReductionRequest("F43Unity", {"a": 0.5, "b": 1.2, "c": 0.0}, {"n": 1})),
+    ("b=0", ReductionRequest("F32UnityBB", {"a": 0.5, "b": 0.0}, {"n": 1})),
+    ("c=0", ReductionRequest("F43UnityNM", {"a": -1.0, "b": 1.5, "c": 0.0}, {"n": 1, "m": 1})),
+    ("a=0", ReductionRequest("F11Laguerre", {"a": 0.0}, {"n": 1}, 0.5)),
+    ("b=0", ReductionRequest("F22Laguerre", {"a": 0.5, "b": 0.0}, {"n": 1, "m": 1}, 0.5)),
+    ("c=0", ReductionRequest("F33Laguerre", {"a": 0.5, "b": 1.5, "c": 0.0}, {"n": 1, "m": 1, "k": 1}, 0.5)),
+    ("c=0", ReductionRequest("Pp2Fp1IncBeta", {"a": (0.5, 1.5), "b": -0.5, "c": 0.0}, {"n": 1}, 0.5)),
+    ("c=0", ReductionRequest("Pp2Fp1Literature", {"a": (2.5,), "b": 0.2, "c": 0.0}, {"n": 2}, 0.5)),
+    ("c=0", ReductionRequest("F21Contiguous", {"b": 0.5, "c": 0.0}, {"n": 1}, 0.3)),
+    ("c=0", ReductionRequest("Pp2Fp1Unity", {"a": (0.5, 1.5), "b": -2.0, "c": 0.0}, {"n": 1})),
+    ("d=0", ReductionRequest("Pp3Fp2H", {"a": (2.5,), "b": 0.2, "c": 2.5, "d": 0.0}, {"n": 1, "m": 2}, 0.5)),
+    (
+        "d=0",
+        ReductionRequest(
+            "Pp3Fp2IncBeta", {"a": (0.5, 1.5), "b": -0.5, "c": 2.0, "d": 0.0}, {"n": 1, "m": 1}, 0.5
+        ),
+    ),
+    (
+        "d=0",
+        ReductionRequest(
+            "Pp3Fp2Unity", {"a": (0.5, 1.5), "b": -2.5, "c": 2.5, "d": 0.0}, {"n": 1, "m": 1}
+        ),
+    ),
+    ("c=0", ReductionRequest("F32P0", {"b": 0.5, "c": 0.0, "d": 2.5}, {"n": 1, "m": 1}, 0.3)),
+    ("repeated-a", ReductionRequest("Mp1FmIncBeta", {"a": (0.5, 0.5), "b": -0.5}, {}, 0.5)),
+    ("a=0", ReductionRequest("Mp1FmIncBeta", {"a": (0.0, 1.5), "b": -0.5}, {}, 0.5)),
+    ("repeated-a", ReductionRequest("Pp2Fp1IncBeta", {"a": (0.5, 0.5), "b": -0.5, "c": 2.0}, {"n": 1}, 0.5)),
+    ("a=0", ReductionRequest("Pp2Fp1IncBeta", {"a": (0.0, 1.5), "b": -0.5, "c": 2.0}, {"n": 1}, 0.5)),
+    ("repeated-a", ReductionRequest("Pp2Fp1Literature", {"a": (2.5, 2.5), "b": 0.2, "c": 2.5}, {"n": 2}, 0.5)),
+    ("a<0", ReductionRequest("Pp2Fp1Literature", {"a": (-0.5, 2.5), "b": 0.2, "c": 2.5}, {"n": 0}, 0.5)),
+    ("a=0", ReductionRequest("Pp2Fp1Unity", {"a": (0.0, 1.5), "b": -2.0, "c": 2.5}, {"n": 1})),
+    (
+        "repeated-a",
+        ReductionRequest(
+            "Pp3Fp2H", {"a": (2.5, 2.5), "b": 0.2, "c": 2.5, "d": 1.5}, {"n": 1, "m": 2}, 0.5
+        ),
+    ),
+    (
+        "a<0",
+        ReductionRequest(
+            "Pp3Fp2H", {"a": (-0.5, 2.5), "b": 0.2, "c": 2.5, "d": 1.5}, {"n": 1, "m": 0}, 0.5
+        ),
+    ),
+    (
+        "repeated-a",
+        ReductionRequest(
+            "Pp3Fp2IncBeta", {"a": (0.5, 0.5), "b": -0.5, "c": 2.0, "d": 2.5}, {"n": 1, "m": 1}, 0.5
+        ),
+    ),
+    (
+        "a=0",
+        ReductionRequest(
+            "Pp3Fp2IncBeta", {"a": (0.0, 1.5), "b": -0.5, "c": 2.0, "d": 2.5}, {"n": 1, "m": 1}, 0.5
+        ),
+    ),
+    (
+        "repeated-a",
+        ReductionRequest(
+            "Pp3Fp2Unity", {"a": (0.5, 0.5), "b": -2.5, "c": 2.5, "d": 3.5}, {"n": 1, "m": 1}
+        ),
+    ),
+    (
+        "a=0",
+        ReductionRequest(
+            "Pp3Fp2Unity", {"a": (0.0, 1.5), "b": -2.5, "c": 2.5, "d": 3.5}, {"n": 1, "m": 1}
+        ),
+    ),
+    *(("divergent", req) for req in DIVERGENT_AT_UNITY),
+    # The bounds on a and b again, within convergence at z = 1.
+    ("a=1.2", ReductionRequest("F43Unity", {"a": 1.2, "b": 1.0, "c": 2.5}, {"n": 0})),
+    ("b=1.5,n=0", ReductionRequest("Pp2Fp1Unity", {"a": (0.5, 1.5), "b": 1.5, "c": 2.5}, {"n": 0})),
+    (
+        "b>=1-max(n,m),p=3",
+        ReductionRequest(
+            "Pp3Fp2Unity", {"a": (0.5, 1.5, 2.5), "b": 0.2, "c": 3.7, "d": 4.7}, {"n": 1, "m": 1}
+        ),
+    ),
 ]
 
 
@@ -492,7 +581,20 @@ def test_each_rule_is_broken_alone_by_a_row():
         if len(broken) == 1:
             alone.add((req.id, broken[0]))
     every = {(e, text) for e in catalog.catalog_ids() for text, _, _ in catalog.get_entry(e).rules}
-    assert alone == every
+    # Three records follow from the others.  F32UnityJL's margin at z = 1 is
+    # 2 - a, which a < 1 keeps above 1; F32UnityBB's is 2 - a - n and
+    # F43UnityNM's 2 - a - n - m, which n >= 1 keeps at most 1 - a, so that
+    # convergence with n >= 1 implies a < 1.
+    implied = {("F32UnityJL", "convergent at z = 1"), ("F32UnityBB", "a < 1"), ("F43UnityNM", "a < 1")}
+    assert alone == every - implied
+
+
+def test_pairwise_distinct():
+    # The list rule's predicate decides as the closed forms' DISTINCT_TOL does.
+    assert catalog._pairwise_distinct([0.5, 1.5, 2.5])
+    assert not catalog._pairwise_distinct([0.5, 0.5 + 1e-8])
+    assert catalog._pairwise_distinct([1.0, 1.0 + 2 * DISTINCT_TOL])
+    assert not catalog._pairwise_distinct([2.0, 1.0, 2.0])
 
 
 def test_uniform_draw_is_generator_uniform():

@@ -26,7 +26,6 @@ from hyperreduce.reductions import (
     psi_sum_closed,
     ratio_derivative,
     reduce_corollary,
-    require_distinct,
     shifted_pfp_damped,
 )
 from hyperreduce.series import PFQSpec, Status, eval_pfq, is_nonpositive_integer
@@ -468,12 +467,6 @@ def test_half_minus_variants_coincide_at_m0():
     assert f32_half_minus_signed_rhs(a, b, c, 2, 0)[0] == pytest.approx(
         f32_half_minus_unsigned_rhs(a, b, c, 2, 0)[0], rel=1e-14
     )
-
-
-def test_require_distinct():
-    require_distinct([0.5, 1.5, 2.5])
-    with pytest.raises(DegenerateParametersError):
-        require_distinct([0.5, 0.5 + 1e-8])
 
 
 # -- incomplete-beta closed forms ---------------------------------------------

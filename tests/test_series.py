@@ -198,6 +198,10 @@ def test_max_terms_reached():
     assert res.terms_used == 40
     with pytest.raises(ValueError):
         eval_pfq(PFQSpec([], [], 0.5), max_terms=0)
+    # A fractional cap is refused off the circle and on it.
+    for spec, cap in ((PFQSpec([1.0], [2.0], 0.5), 10.5), (PFQSpec([0.5, 0.5], [1.2], 1.0), 1000.5)):
+        with pytest.raises(ValueError, match=rf"^max_terms must be an integer >= 1, got {cap}$"):
+            eval_pfq(spec, max_terms=cap)
 
 
 def test_terminated_only_within_the_cap():

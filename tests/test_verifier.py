@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from hyperreduce import catalog, cli, verifier
@@ -19,6 +20,14 @@ def test_sample_cases_deterministic():
         verifier.sample_cases("F21Contiguous", 0, 42)
     with pytest.raises(ValueError, match="seed=-1"):
         verifier.sample_cases("F21Contiguous", 5, -1)
+    # count and seed are integers, as operator.index takes them
+    with pytest.raises(ValueError, match=r"count=2\.5, seed=1$"):
+        verifier.sample_cases("F21Contiguous", 2.5, 1)
+    with pytest.raises(ValueError, match=r"count=5, seed=1\.5$"):
+        verifier.sample_cases("F21Contiguous", 5, 1.5)
+    with pytest.raises(ValueError, match=r"count=5, seed=1\.5$"):
+        verifier.run_suite(["F21Contiguous"], 5, 1.5)
+    assert verifier.sample_cases("F21Contiguous", np.int64(5), np.int64(42)) == a
 
 
 def test_case_tolerances_by_entry_kind():
