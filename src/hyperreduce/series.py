@@ -8,10 +8,12 @@ circle it sums term by term and stops on small terms.  That loop is generated
 once per shape (p, q), on first use: the parameters are unpacked into locals
 and each factor is one expression, in the order of the per-parameter
 recurrence, so no loop over the parameters runs per term and every term is
-bitwise the recurrence's.  The index k is carried also as a float, exact
+bitwise the recurrence's.  The index k is carried only as a float, exact
 below 2^53, so each factor is float arithmetic throughout; |t_k| and |total|
 are taken by a comparison, as is the finiteness test (against the largest
-finite double), so no builtin is called per term.
+finite double), so no builtin is called per term.  The previous term, read
+only by the tail bound of a converged sum, is kept only while terms are
+small.
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -169,14 +171,16 @@ def eval_pfq(
         raise DomainError(f"parameters and z must be finite, got {spec}")
 
     # The terminating order: the smallest m with some upper parameter -m.
+    # is_nonpositive_integer is false at 0.5 and above, so it is called only
+    # below.
     n_stop = None
     for a in upper:
-        if is_nonpositive_integer(a) and (n_stop is None or -round(a) < n_stop):
+        if a < 0.5 and is_nonpositive_integer(a) and (n_stop is None or -round(a) < n_stop):
             n_stop = -round(a)
     # A lower parameter at a non-positive integer -m poisons the term at
     # index m+1; it is only tolerable if the series terminates strictly first.
     for b in lower:
-        if is_nonpositive_integer(b) and (n_stop is None or 1 - round(b) <= n_stop):
+        if b < 0.5 and is_nonpositive_integer(b) and (n_stop is None or 1 - round(b) <= n_stop):
             raise LowerPoleError(
                 f"lower parameter {b} hits a pole before the series terminates"
             )
@@ -199,6 +203,8 @@ def eval_pfq(
         upper, lower, z, n_stop if terminates else max_terms, tol
     )
     rounding = RICHARDSON_NOISE * _EPS * math.sqrt(k * (p + q + 1)) * abs_sum
+    # Built with tuple.__new__, as PFQSpec builds itself: the NamedTuple's own
+    # __new__ is one more Python call per result.
     if converged:
         # Geometric tail bound from the last ratio |t_k / t_{k-1}|; for slowly
         # decaying (algebraic) tails the ratio is near 1 and the bound
@@ -207,39 +213,46 @@ def eval_pfq(
         mag = abs(term)
         ratio = mag / abs(prev) if prev != 0.0 else 0.0
         tail = mag * ratio / (1.0 - ratio) if ratio < 0.999999 else mag * k
-        return EvalResult(total, max(tail, 3.0 * mag) + rounding, k, Status.CONVERGED)
+        return tuple.__new__(
+            EvalResult, (total, max(tail, 3.0 * mag) + rounding, k, Status.CONVERGED)
+        )
     if terminates:
-        return EvalResult(total, rounding, k, Status.TERMINATED)
-    return EvalResult(total, abs(term) * k + rounding, k, Status.MAX_TERMS_REACHED)
+        return tuple.__new__(EvalResult, (total, rounding, k, Status.TERMINATED))
+    return tuple.__new__(
+        EvalResult, (total, abs(term) * k + rounding, k, Status.MAX_TERMS_REACHED)
+    )
 
 
 # The off-circle loop, written out for one shape (p, q).  Each term is
 # term *= z / x1 * (u0 + x) * ... / (l0 + x) ..., left to right, which is the
-# order of the per-parameter recurrence.  x = k and x1 = k + 1 are carried as
-# floats: an int below 2^53 converts to float exactly, so every factor is
-# bitwise the one that recurrence gives with the int k, and the arithmetic is
-# float with float throughout.  "not mag <= MAX_FINITE" is true exactly for
-# +-inf and NaN, as "not isfinite(term)" is.  "t if t >= 0.0 else -t" is
-# abs(t) but for t = -0.0, which adds nothing to abs_sum >= 1 and compares as 0.
+# order of the per-parameter recurrence.  The index k is carried only as the
+# float x, and x1 = k + 1: an int below 2^53 converts to float exactly, so
+# every factor is bitwise the one that recurrence gives with the int k, the
+# arithmetic is float with float throughout, and int(x) is the count.
+# "not mag <= max_finite" is true exactly for +-inf and NaN, as
+# "not isfinite(term)" is.  "t if t >= 0.0 else -t" is abs(t) but for
+# t = -0.0, which adds nothing to abs_sum >= 1 and compares as 0.  prev is
+# stored only in the small-term branch, after the streak test: its one reader
+# is the converged return, and with SMALL_TERM_STREAK >= 2 the term before a
+# converged stop was small too, so prev is then the previous term.
 _OFF_CIRCLE_SOURCE = """\
 def _sum(upper, lower, z, limit, tol):
     ({uppers}) = upper
     ({lowers}) = lower
+    max_finite = MAX_FINITE
     total = 1.0  # k = 0 term
     comp = 0.0  # Kahan compensation
     abs_sum = 1.0
     term = prev = 1.0
     streak = 0
-    k = 0
-    x = 0.0  # k as a float
-    while k < limit:
-        prev = term
+    x = 0.0  # the index k, as a float
+    end = float(limit)
+    while x < end:
         x1 = x + 1.0
         term *= {factor}
         mag = term if term >= 0.0 else -term
-        if not mag <= MAX_FINITE:
+        if not mag <= max_finite:
             raise OverflowError("series term overflowed to non-finite value")
-        k += 1
         x = x1
         # Kahan-compensated accumulation
         y = term - comp
@@ -250,10 +263,11 @@ def _sum(upper, lower, z, limit, tol):
         if mag <= tol * (total if total >= 0.0 else -total):
             streak += 1
             if streak >= SMALL_TERM_STREAK:
-                return total, abs_sum, term, prev, k, True
+                return total, abs_sum, term, prev, int(x), True
+            prev = term
         else:
             streak = 0
-    return total, abs_sum, term, prev, k, False
+    return total, abs_sum, term, prev, int(x), False
 """
 
 
@@ -263,14 +277,16 @@ def _off_circle_loop(p: int, q: int):
 
     Returns _sum(upper, lower, z, limit, tol) -> (total, abs_sum, term, prev,
     k, converged): the Kahan sum of the terms t_0 ... t_k, sum |t_k|, the last
-    two terms, the number k of terms after t_0, and whether the small-term
-    rule stopped the sum.  The parameters are unpacked into locals u0 ...,
-    l0 ..., so no loop over them runs per term.  The loop carries k also as
-    the floats x = k and x1 = k + 1, takes mag = |t_k| once, by a
-    comparison, for sum |t_k| and the small-term test, and raises
-    OverflowError when not mag <= MAX_FINITE (an infinite or NaN term); it
-    calls no builtin per term.  The source holds only names built from p
-    and q.
+    term, prev, the number k of terms after t_0 (an int), and whether the
+    small-term rule stopped the sum.  prev is the previous term t_{k-1} only
+    at a converged stop, the one place it is read: it is stored only when a
+    term is small, and SMALL_TERM_STREAK >= 2 makes t_{k-1} small there.  The
+    parameters are unpacked into locals u0 ..., l0 ..., so no loop over them
+    runs per term.  The loop carries k only as the floats x = k and
+    x1 = k + 1, takes mag = |t_k| once, by a comparison, for sum |t_k| and
+    the small-term test, and raises OverflowError when not mag <= MAX_FINITE
+    (an infinite or NaN term); it calls no builtin per term.  The source
+    holds only names built from p and q.
     """
     uppers = [f"u{i}" for i in range(p)]
     lowers = [f"l{j}" for j in range(q)]

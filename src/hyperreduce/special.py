@@ -10,9 +10,10 @@ product of its k factors for every k >= 0, so its error is about 2k roundings;
 like any float product it overflows to +-inf rather than raising.
 
 The incomplete beta (DLMF 8.17.22) and the upper incomplete gamma (DLMF 8.9.2)
-are continued fractions summed by one modified Lentz loop, _lentz; no function
-here calls the series oracle eval_pfq, so a defect in the oracle cannot hit
-both sides of a verification.
+are continued fractions summed by one modified Lentz loop, _lentz; where the
+incomplete beta's fraction fails near z = 1 with b < 0, a short series of
+DLMF 8.17.7 takes over.  No function here calls the series oracle eval_pfq, so
+a defect in the oracle cannot hit both sides of a verification.
 """
 
 from __future__ import annotations
@@ -143,6 +144,11 @@ _FRACTION_TOL = math.ulp(1.0)
 _FRACTION_MAX_STEPS = 1_000
 _LENTZ_TINY = 1e-300
 
+# For b < 0, B_z(a, b) near z = 1 is B(a, b) - B_{1-z}(b, a), summed as a
+# series, only for b at least this far from the poles 0, -1, -2, ... of
+# Gamma(b) and of that series.
+_BETA_POLE_MARGIN = 0.05
+
 
 def _lentz(b0: float, steps: Iterator[tuple[float, float]]) -> float | None:
     """1/(b0 + a_1/(b_1 + a_2/(b_2 + ...))) by the modified Lentz method, the
@@ -176,9 +182,13 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
     B_{1-z}(b, a) converges faster, and the value is B(a, b) - B_{1-z}(b, a)
     (DLMF 8.17.4) where also b >= 1 or z > 0.97: on the calls that verify
     makes, the worst error against mpmath read 7.1e-15 this way and 3.0e-14
-    with the symmetry wherever b > 0.  A fraction that does not converge
-    within _FRACTION_MAX_STEPS steps raises HyperreduceError; for b <= 0 that
-    happens near z = 1.  At z = 1 (requires b > 0) the complete beta is used.
+    with the symmetry wherever b > 0.  For b < 0 the fraction does not
+    converge within _FRACTION_MAX_STEPS steps near z = 1; there, if b is at
+    least _BETA_POLE_MARGIN from a non-positive integer, the same symmetry
+    holds by analytic continuation, with B_{1-z}(b, a) summed as its series
+    (_beta_series, DLMF 8.17.7).  Elsewhere a fraction that does not
+    converge raises HyperreduceError.  At z = 1 (requires b > 0) the
+    complete beta is used.
     """
     if not 0.0 < a < math.inf:
         raise DomainError(f"incomplete beta requires 0 < a < inf, got a = {a}")
@@ -192,7 +202,28 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
         return complete_beta(a, b)
     if b > 0.0 and z * (a + b + 2.0) > a + 1.0 and (b >= 1.0 or z > 0.97):
         return complete_beta(a, b) - _incomplete_beta_fraction(1.0 - z, b, a)
-    return _incomplete_beta_fraction(z, a, b)
+    try:
+        return _incomplete_beta_fraction(z, a, b)
+    except HyperreduceError:
+        if b >= 0.0 or is_nonpositive_integer(b, _BETA_POLE_MARGIN):
+            raise
+    return complete_beta(a, b) - _beta_series(1.0 - z, b, a)
+
+
+def _beta_series(w: float, a: float, b: float) -> float:
+    """B_w(a, b) = w^a / a * sum_k a/(a+k) (1-b)_k/k! w^k (DLMF 8.17.7), for
+    0 < w < 1 and a off the non-positive integers, summed until a term is
+    below _FRACTION_TOL of the sum; HyperreduceError after
+    _FRACTION_MAX_STEPS terms."""
+    coeff = 1.0  # (1-b)_k / k! w^k
+    total = 1.0
+    for k in range(1, _FRACTION_MAX_STEPS + 1):
+        coeff *= (k - b) * w / k
+        term = coeff * a / (a + k)
+        total += term
+        if abs(term) <= _FRACTION_TOL * abs(total):
+            return w**a / a * total
+    raise HyperreduceError(f"series of B_w(a, b) at w = {w}, a = {a}, b = {b} did not converge")
 
 
 def _incomplete_beta_fraction(z: float, a: float, b: float) -> float:

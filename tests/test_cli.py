@@ -313,10 +313,23 @@ def test_reduce_incomplete_beta_near_unity(capsys):
     assert value == pytest.approx(1.09628532976971448593, rel=1e-14)
 
 
-def test_reduce_incomplete_beta_fraction_not_converged_exits_3(capsys):
+def test_reduce_incomplete_beta_negative_b_near_unity(capsys):
     # Mp1FmIncBeta with a = 2, b = 2.5 needs B_z(2, -1.5); at z = 0.99999 its
-    # continued fraction does not converge within the step limit.
-    assert run(["reduce", "Mp1FmIncBeta", "--a", "2", "--b", "2.5", "--z", "0.99999"]) == 3
+    # continued fraction does not converge within the step limit, and the
+    # value is B(2, -1.5) - B_{1-z}(-1.5, 2) by a short series, within 1e-13
+    # of 2F1(2.5, 2; 3; 0.99999) = 42163283.152915545859 (mpmath).
+    assert run(["reduce", "Mp1FmIncBeta", "--a", "2", "--b", "2.5", "--z", "0.99999"]) == 0
+    out = capsys.readouterr().out
+    assert "value       = 42163283.1529" in out
+    value = float(out.split("value       = ")[1].split()[0])
+    assert value == pytest.approx(42163283.152915545859, rel=1e-13)
+
+
+def test_reduce_incomplete_beta_fraction_not_converged_exits_3(capsys):
+    # Mp1FmIncBeta with a = 2, b = 2.02 needs B_z(2, -1.02), within 0.05 of
+    # the pole at -1; at z = 0.99999 its continued fraction does not converge
+    # within the step limit, and no series route is taken that near a pole.
+    assert run(["reduce", "Mp1FmIncBeta", "--a", "2", "--b", "2.02", "--z", "0.99999"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "z = 0.99999, a = 2.0, b = -1.5 did not converge" in captured.err
+    assert "z = 0.99999, a = 2.0, b = -1.02 did not converge" in captured.err

@@ -371,6 +371,16 @@ def test_generated_loop_matches_per_term_loop(drawn, z, max_terms, tol):
     # Specs the prologue rejects never reach the loop.
     assume(got not in (LowerPoleError, DivergentSeriesError))
     assert got == _outcome(_per_term_off_circle, spec, max_terms, tol)
+    # == would let a float count such as 11.0 through.
+    if isinstance(got, tuple):
+        assert type(got[2]) is int
+
+
+def test_small_term_streak_at_least_two():
+    # The generated loop stores prev only when a term is small; the returned
+    # prev is the previous term at a converged stop only because that term
+    # was small too, which needs a streak of at least two.
+    assert SMALL_TERM_STREAK >= 2
 
 
 def test_overflow_off_circle_raises_without_warning():
@@ -666,6 +676,7 @@ def test_segments_match_per_term_sum(drawn, tol, max_terms):
     else:
         res = eval_pfq(spec, max_terms=max_terms, tol=tol)
         assert (res.terms_used, res.status) == (ref.terms_used, ref.status)
+        assert type(res.terms_used) is int
         if ref.status is Status.EXTRAPOLATED:
             assert abs(res.value - ref.value) <= ref.abs_err_est
         else:  # at the cap the estimate depends only on the last term and sum |t_k|
