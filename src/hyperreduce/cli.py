@@ -194,7 +194,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except KeyError as exc:  # an unknown reduction id
         message, code = exc.args[0], EXIT_USAGE
-    except (ValueError, DomainError) as exc:
+    except (ValueError, DomainError, OSError) as exc:  # OSError: an unwritable --out
         message, code = exc, EXIT_USAGE
     except NUMERIC_ERRORS as exc:
         message, code = exc, EXIT_NUMERIC

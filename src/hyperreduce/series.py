@@ -4,16 +4,10 @@ This module is the ground-truth oracle of the package: it knows nothing about
 closed forms and evaluates sum_k  prod_i (a_i)_k z^k / [k! prod_j (b_j)_k]
 by the term recurrence t_{k+1} = t_k z prod_i (a_i + k) / [(k+1) prod_j (b_j + k)],
 with convergence policing and a tail-based error estimate.  Off the unit
-circle it sums term by term and stops on small terms.  That loop is generated
-once per shape (p, q), on first use: the parameters are unpacked into locals
-and each factor is one expression, in the order of the per-parameter
-recurrence, so no loop over the parameters runs per term and every term is
-bitwise the recurrence's.  The index k is carried only as a float, exact
-below 2^53, so each factor is float arithmetic throughout; |t_k| and |total|
-are taken by a comparison, as is the finiteness test (against the largest
-finite double), so no builtin is called per term.  The previous term, read
-only by the tail bound of a converged sum, is kept only while terms are
-small.
+circle it sums term by term and stops on small terms, in a loop generated once
+per shape (p, q): every term is bitwise the per-parameter recurrence's, and
+OverflowError is raised when a term or the running sum leaves the double
+range (see the comment above _OFF_CIRCLE_SOURCE).
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -139,10 +133,10 @@ def eval_pfq(
     geometric tail bound (CONVERGED) or k times the last term (at the cap).
     The spec is checked once, in this order: finiteness, one loop over the
     upper parameters for the terminating order and one over the lower ones for
-    a pole, then the convergence rules.  The terms are summed by a loop
-    generated for the shape (len(upper), len(lower)) and cached (see
-    _off_circle_loop); it forms each term bitwise as the per-parameter
-    recurrence does.
+    a pole, then the convergence rules.  Off the circle the terms are summed
+    by a loop generated for the shape (len(upper), len(lower)), which forms
+    each term bitwise as the per-parameter recurrence does (see the comment
+    above _OFF_CIRCLE_SOURCE).
 
     On the unit circle (p = q + 1, |z| = 1, not terminating) the small-term
     rule does not apply.  The partial sums at N = 16 * 2^i terms feed a
@@ -158,9 +152,9 @@ def eval_pfq(
     Raises ValueError unless max_terms is an integer >= 1 and 0 < tol < inf,
     DomainError for a non-finite parameter or z,
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
-    spec cannot be summed at all, and OverflowError when a term overflows or,
-    on the unit circle, when a partial sum, the extrapolated value or its
-    rounding floor does.
+    spec cannot be summed at all, and OverflowError when a term or a partial
+    sum leaves the double range or, on the unit circle, when the extrapolated
+    value or its rounding floor does.
     """
     if not hasattr(max_terms, "__index__") or max_terms < 1:
         raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
@@ -223,17 +217,22 @@ def eval_pfq(
     )
 
 
-# The off-circle loop, written out for one shape (p, q).  Each term is
+# The off-circle loop, written out for one shape (p, q), with the parameters
+# unpacked into locals u0 ..., l0 ..., so no loop over them runs per term and
+# no builtin is called per term.  Each term is
 # term *= z / x1 * (u0 + x) * ... / (l0 + x) ..., left to right, which is the
 # order of the per-parameter recurrence.  The index k is carried only as the
 # float x, and x1 = k + 1: an int below 2^53 converts to float exactly, so
 # every factor is bitwise the one that recurrence gives with the int k, the
 # arithmetic is float with float throughout, and int(x) is the count.
-# "not mag <= max_finite" is true exactly for +-inf and NaN, as
-# "not isfinite(term)" is.  "t if t >= 0.0 else -t" is abs(t) but for
-# t = -0.0, which adds nothing to abs_sum >= 1 and compares as 0.  prev is
-# stored only in the small-term branch, after the streak test: its one reader
-# is the converged return, and with SMALL_TERM_STREAK >= 2 the term before a
+# "t if t >= 0.0 else -t" is abs(t) but for t = -0.0, which adds nothing to
+# abs_sum >= 1 and compares as 0.  "not size <= max_finite" is true exactly
+# for +-inf and NaN, as "not isfinite(total)" is; a non-finite term makes the
+# Kahan sum non-finite in the same step, so this one test raises when a term
+# or the sum of finite terms leaves the double range (a sum left to run on
+# turns NaN through its compensation and never stops).  prev is stored only
+# in the small-term branch, after the streak test: its one reader is the
+# converged return, and with SMALL_TERM_STREAK >= 2 the term before a
 # converged stop was small too, so prev is then the previous term.
 _OFF_CIRCLE_SOURCE = """\
 def _sum(upper, lower, z, limit, tol):
@@ -250,17 +249,18 @@ def _sum(upper, lower, z, limit, tol):
     while x < end:
         x1 = x + 1.0
         term *= {factor}
-        mag = term if term >= 0.0 else -term
-        if not mag <= max_finite:
-            raise OverflowError("series term overflowed to non-finite value")
         x = x1
         # Kahan-compensated accumulation
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
+        mag = term if term >= 0.0 else -term
         abs_sum += mag
-        if mag <= tol * (total if total >= 0.0 else -total):
+        size = total if total >= 0.0 else -total
+        if not size <= max_finite:
+            raise OverflowError("series term or partial sum overflowed to non-finite value")
+        if mag <= tol * size:
             streak += 1
             if streak >= SMALL_TERM_STREAK:
                 return total, abs_sum, term, prev, int(x), True
@@ -278,15 +278,11 @@ def _off_circle_loop(p: int, q: int):
     Returns _sum(upper, lower, z, limit, tol) -> (total, abs_sum, term, prev,
     k, converged): the Kahan sum of the terms t_0 ... t_k, sum |t_k|, the last
     term, prev, the number k of terms after t_0 (an int), and whether the
-    small-term rule stopped the sum.  prev is the previous term t_{k-1} only
-    at a converged stop, the one place it is read: it is stored only when a
-    term is small, and SMALL_TERM_STREAK >= 2 makes t_{k-1} small there.  The
-    parameters are unpacked into locals u0 ..., l0 ..., so no loop over them
-    runs per term.  The loop carries k only as the floats x = k and
-    x1 = k + 1, takes mag = |t_k| once, by a comparison, for sum |t_k| and
-    the small-term test, and raises OverflowError when not mag <= MAX_FINITE
-    (an infinite or NaN term); it calls no builtin per term.  The source
-    holds only names built from p and q.
+    small-term rule stopped the sum.  prev is the previous term t_{k-1} at a
+    converged stop, the one place it is read.  Every term is bitwise the
+    per-parameter recurrence's, and OverflowError is raised when a term or
+    the running sum leaves the double range (see the comment above
+    _OFF_CIRCLE_SOURCE).  The source holds only names built from p and q.
     """
     uppers = [f"u{i}" for i in range(p)]
     lowers = [f"l{j}" for j in range(q)]

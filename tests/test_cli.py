@@ -40,6 +40,14 @@ def test_eval_at_unity_is_extrapolated(capsys):
 
 def test_eval_divergent_exits_3(capsys):
     assert run(["eval", "--upper", "1,1,1", "--lower", "2", "--z", "0.5"]) == 3
+    assert run(["eval", "--upper", "0.5", "--lower=-2", "--z", "0.5"]) == 3  # a lower pole
+    capsys.readouterr()
+    # The partial sum of e^709.9 leaves the double range while every term is
+    # finite: the overflow is named, not the term cap.
+    assert run(["eval", "--z", "709.9"]) == 3
+    assert capsys.readouterr().err == (
+        "error: series term or partial sum overflowed to non-finite value\n"
+    )
 
 
 def test_eval_usage_errors(capsys):
@@ -78,6 +86,9 @@ def test_reduce_check_pass(capsys):
 
 def test_reduce_precondition_violation_exits_2(capsys):
     assert run(["reduce", "F43Unity", "--a", "0.2", "--b", "1.0", "--c", "1.0", "--n", "1"]) == 2
+    capsys.readouterr()
+    assert run(["reduce", "F43Unity", "--a", "0.5", "--b", "1.0", "--c", "2.0", "--n", "1"]) == 2
+    assert "requires 1+b-a, 1+b-c, 1+b-c-n off poles" in capsys.readouterr().err
 
 
 def test_reduce_unknown_id_and_bad_signature(capsys):
@@ -105,6 +116,10 @@ def test_reduce_list_parameter(capsys):
               "--z", "0.5", "--check"])
     assert rc == 0
     assert "check       = pass" in capsys.readouterr().out
+    # z fixed at 1: the check runs the oracle's extrapolation on the circle.
+    assert run(["reduce", "Pp2Fp1Unity", "--a", "0.5,1.5", "--b", "-2", "--c", "1.2",
+                "--n", "1", "--check"]) == 0
+    assert "check       = pass" in capsys.readouterr().out
 
 
 def test_verify_only_csv(capsys):
@@ -114,13 +129,18 @@ def test_verify_only_csv(capsys):
     assert len(out.strip().split("\n")) == 11
 
 
-def test_verify_usage_errors(capsys):
+def test_verify_usage_errors(tmp_path, capsys):
     assert run(["verify", "--cases", "0"]) == 2
     assert run(["verify", "--only", "NoSuchId", "--cases", "1"]) == 2
     assert run(["verify", "--only", ",", "--cases", "1"]) == 2
     capsys.readouterr()
     assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--seed", "-1"]) == 2
     assert "seed=-1" in capsys.readouterr().err
+    # An --out that cannot be opened for writing: a missing directory, a directory.
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
 
 def test_verify_json_round_trip(capsys):
@@ -163,6 +183,8 @@ def test_catalog_detail(capsys):
     out = capsys.readouterr().out
     assert "modified Bessel function of the" in out
     assert "signature:" in out
+    assert run(["catalog", "--id", "Pp3Fp2H"]) == 0
+    assert "a's > m - 1 + 0.05" in capsys.readouterr().out
 
 
 def test_catalog_unknown_id(capsys):

@@ -287,14 +287,15 @@ def _per_term_off_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
             factor /= b + k
         prev = term
         term *= factor
-        if not math.isfinite(term):
-            raise OverflowError("series term overflowed to non-finite value")
         k += 1
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         abs_sum += abs(term)
+        # A non-finite term makes the sum non-finite too.
+        if not math.isfinite(total):
+            raise OverflowError("series term or partial sum overflowed to non-finite value")
         if abs(term) <= tol * abs(total):
             streak += 1
             if streak >= SMALL_TERM_STREAK:
@@ -398,12 +399,18 @@ def test_overflow_off_circle_raises_without_warning():
         PFQSpec([1e100, 1e100], [1.0], 0.5),  # 2F1: t_1 = 5e199
         PFQSpec([1e100, 1e100, 1e100], [1.0, 1.0], 0.5),  # 3F2: t_1 = 5e299
         PFQSpec([], [1.0], 1e300),  # 0F1: t_1 = 1e300
+        # Every term is finite (the largest about 3e306), and the partial sum
+        # passes the double range; its Kahan compensation made it NaN, and the
+        # sum ran to the term cap.
+        PFQSpec([], [], 709.9),
+        PFQSpec([1.0], [1.0], 709.9),
     ],
-    ids=["1F1", "2F1", "3F2", "0F1"],
+    ids=["1F1", "2F1", "3F2", "0F1", "0F0-sum", "1F1-sum"],
 )
 def test_overflow_mid_series_matches_per_term_loop(spec):
-    # t_1 is finite and t_2 overflows, in the generated loop of each shape:
-    # the same outcome as the per-parameter loop, and no warning on the way.
+    # t_1 is finite and t_2 or the partial sum overflows, in the generated
+    # loop of each shape: the same outcome as the per-parameter loop, and no
+    # warning on the way.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _outcome(eval_pfq, spec, DEFAULT_MAX_TERMS, DEFAULT_TOL)
