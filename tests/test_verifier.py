@@ -172,6 +172,15 @@ GOLDEN_INTERIOR_SHA256 = {
 }
 
 
+# The same hash over each case's verdict only, (case_id, pass, failure_kind),
+# for all 28 entries.  A change to how either side computes its value may
+# move the report hashes above, but must leave every verdict, so this, as it was.
+GOLDEN_VERDICT_SHA256 = {
+    0: "0a2c3606fbbff3769fc9a990f221f10d0e0086be489e8f42233416c731175931",
+    1: "fae56072626b3640df287f81087e1784b31e53a25872a2667349bf8b74a42173",
+}
+
+
 def _report_sha256(entries, seed):
     report = verifier.run_suite(entries, 30, seed)
     text = (
@@ -180,6 +189,15 @@ def _report_sha256(entries, seed):
         + verifier.report_to_jsonl(report)
     )
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_VERDICT_SHA256))
+def test_golden_verdict_hash(seed):
+    report = verifier.run_suite(None, 30, seed)
+    verdicts = [[r.case_id, r.passed, r.failure_kind] for r in report.results]
+    assert len(verdicts) == 28 * 30
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == GOLDEN_VERDICT_SHA256[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_REPORT_SHA256))
