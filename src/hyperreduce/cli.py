@@ -9,6 +9,7 @@ failure, 2 usage error (including non-finite input), 3 numerical error (also a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from typing import Sequence
@@ -150,18 +151,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # An unknown id raises KeyError here, before any entry runs.
         ids = [part.strip() for part in args.only.split(",") if part.strip()]
         entries = [catalog.get_entry(entry_id).id for entry_id in ids]
-    report = verifier.run_suite(entries, args.cases, args.seed)
-    if args.format == "json":
-        text = verifier.report_to_json(report)
-    elif args.format == "csv":
-        text = verifier.report_to_csv(report)
-    else:
-        text = _format_table(report)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # --out is opened before the run, so a path that cannot be written fails
+    # at once, not after the whole suite.
+    with (open(args.out, "w", encoding="utf-8") if args.out is not None
+          else contextlib.nullcontext(sys.stdout)) as out:
+        report = verifier.run_suite(entries, args.cases, args.seed)
+        if args.format == "json":
+            out.write(verifier.report_to_json(report))
+        elif args.format == "csv":
+            out.write(verifier.report_to_csv(report))
+        else:
+            out.write(_format_table(report))
     return EXIT_OK if report.total_failed == 0 else EXIT_VERIFY_FAIL
 
 

@@ -7,7 +7,8 @@ with convergence policing and a tail-based error estimate.  Off the unit
 circle it sums term by term and stops on small terms, in a loop generated once
 per shape (p, q): every term is bitwise the per-parameter recurrence's, and
 OverflowError is raised when a term or the running sum leaves the double
-range (see the comment above _OFF_CIRCLE_SOURCE).
+range (see the comment above _OFF_CIRCLE_SOURCE), or when sum |t_k| has left
+it by the end of the loop.
 
 On the unit circle (p = q + 1, |z| = 1, not terminating) the terms decay only
 like k^-(1+s), s = unity_margin, and summing them until they are small takes
@@ -48,16 +49,19 @@ SMALL_TERM_STREAK = 3
 
 # Richardson extrapolation on the unit circle: partial sums are taken at
 # N = RICHARDSON_FIRST_N * 2^i terms, and the sum stops no earlier than
-# RICHARDSON_MIN_LEVELS levels.  The rounding floor of the table is
-# RICHARDSON_NOISE * eps * sqrt(N) * sum|t_k| times the table's amplification
-# prod_j (2^sigma_j + 1) / (2^sigma_j - 1): term k carries the rounding of the
-# k products that formed it, which grows like sqrt(k).  The error estimate is
-# RICHARDSON_SAFETY times the last change of the diagonal plus that floor.  A
-# sum of k terms that is not extrapolated has the floor RICHARDSON_NOISE * eps
-# * sqrt(k (p+q+1)) * sum|t_k|, counting the p+q+1 rounded operations per
-# term (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+# RICHARDSON_MIN_LEVELS levels, that is after N = 128 terms.  Three levels
+# are too few for the error estimate to bound the error once tol >= 1e-10: a
+# 3F2 stopped at N = 64 was 10x its estimate off.  The rounding floor of the
+# table is RICHARDSON_NOISE * eps * sqrt(N) * sum|t_k| times the table's
+# amplification prod_j (2^sigma_j + 1) / (2^sigma_j - 1): term k carries the
+# rounding of the k products that formed it, which grows like sqrt(k).  The
+# error estimate is RICHARDSON_SAFETY times the last change of the diagonal
+# plus that floor.  A sum of k terms that is not extrapolated has the floor
+# RICHARDSON_NOISE * eps * sqrt(k (p+q+1)) * sum|t_k|, counting the p+q+1
+# rounded operations per term (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 3).
 RICHARDSON_FIRST_N = 16
-RICHARDSON_MIN_LEVELS = 3
+RICHARDSON_MIN_LEVELS = 4
 RICHARDSON_NOISE = 2.0
 RICHARDSON_SAFETY = 4.0
 
@@ -141,8 +145,8 @@ def eval_pfq(
     On the unit circle (p = q + 1, |z| = 1, not terminating) the small-term
     rule does not apply.  The partial sums at N = 16 * 2^i terms feed a
     Richardson table with the remainder's known exponents (see the module
-    docstring); once it has at least three levels the sum stops when the
-    newest diagonal entry T differs from the previous one by at most
+    docstring); once it has at least four levels (N = 128) the sum stops
+    when the newest diagonal entry T differs from the previous one by at most
     max(tol * |T|, rounding floor of the table) (EXTRAPOLATED).  There tol is
     a relative tolerance on that change, the value is T, and abs_err_est is
     four times the change plus the rounding floor.  The terms are computed as
@@ -153,8 +157,8 @@ def eval_pfq(
     DomainError for a non-finite parameter or z,
     DivergentSeriesError / NonConvergentAtUnityError / LowerPoleError when the
     spec cannot be summed at all, and OverflowError when a term or a partial
-    sum leaves the double range or, on the unit circle, when the extrapolated
-    value or its rounding floor does.
+    sum leaves the double range, off the unit circle when sum |t_k| does, and
+    on it when the extrapolated value or its rounding floor does.
     """
     if not hasattr(max_terms, "__index__") or max_terms < 1:
         raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
@@ -196,6 +200,10 @@ def eval_pfq(
     total, abs_sum, term, prev, k, converged = _off_circle_loop(p, q)(
         upper, lower, z, n_stop if terminates else max_terms, tol
     )
+    if abs_sum == math.inf:
+        # Finite terms whose magnitudes sum past the double range: what their
+        # alternating sum kept is cancellation noise, and the estimate is inf.
+        raise OverflowError("sum of the terms' magnitudes overflowed to non-finite value")
     rounding = RICHARDSON_NOISE * _EPS * math.sqrt(k * (p + q + 1)) * abs_sum
     # Built with tuple.__new__, as PFQSpec builds itself: the NamedTuple's own
     # __new__ is one more Python call per result.

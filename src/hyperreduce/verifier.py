@@ -24,10 +24,12 @@ UNITY_TOL_ABS = 1e-9
 
 # Series-oracle stopping tolerance.  At z = 1 the oracle extrapolates its
 # partial sums and stops once the extrapolated value changes by at most
-# ORACLE_TOL_UNITY relative to itself (or by the table's rounding floor), five
-# orders of magnitude inside UNITY_TOL_REL.
+# ORACLE_TOL_UNITY relative to itself (or by the table's rounding floor), two
+# orders of magnitude inside UNITY_TOL_REL: the verdict needs no more, and its
+# error estimate, which bounds the error there, stays inside the comparison
+# budget.
 ORACLE_TOL_INTERIOR = 1e-15
-ORACLE_TOL_UNITY = 1e-11
+ORACLE_TOL_UNITY = UNITY_TOL_REL / 100
 
 MISMATCH = "Mismatch"
 CLOSED_FORM_FAILED = "ClosedFormFailed"

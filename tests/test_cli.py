@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperreduce import cli
+from hyperreduce import cli, verifier
 
 
 def run(argv):
@@ -47,6 +47,11 @@ def test_eval_divergent_exits_3(capsys):
     assert run(["eval", "--z", "709.9"]) == 3
     assert capsys.readouterr().err == (
         "error: series term or partial sum overflowed to non-finite value\n"
+    )
+    # At -709.9 the sum stays finite but sum |t_k| does not.
+    assert run(["eval", "--z", "-709.9"]) == 3
+    assert capsys.readouterr().err == (
+        "error: sum of the terms' magnitudes overflowed to non-finite value\n"
     )
 
 
@@ -141,6 +146,15 @@ def test_verify_usage_errors(tmp_path, capsys):
         assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
+def test_verify_unwritable_out_fails_before_the_run(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(verifier, "run_suite", lambda *args: calls.append(args))
+    out = "/nonexistent/dir/r.json"
+    assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--out", out]) == 2
+    assert calls == []
+    assert out in capsys.readouterr().err
 
 
 def test_verify_json_round_trip(capsys):

@@ -303,6 +303,8 @@ def _per_term_off_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
                 break
         else:
             streak = 0
+    if abs_sum == math.inf:
+        raise OverflowError("sum of the terms' magnitudes overflowed to non-finite value")
     width = len(spec.upper) + len(spec.lower) + 1  # rounded operations per term
     rounding = RICHARDSON_NOISE * eps * math.sqrt(k * width) * abs_sum
     if status is Status.TERMINATED:
@@ -404,8 +406,12 @@ def test_overflow_off_circle_raises_without_warning():
         # sum ran to the term cap.
         PFQSpec([], [], 709.9),
         PFQSpec([1.0], [1.0], 709.9),
+        # The terms alternate and the sum stays near e^-709.9, but sum |t_k|
+        # passes the double range; the small-term rule stopped the sum at
+        # 1.03e290 with status Converged.
+        PFQSpec([], [], -709.9),
     ],
-    ids=["1F1", "2F1", "3F2", "0F1", "0F0-sum", "1F1-sum"],
+    ids=["1F1", "2F1", "3F2", "0F1", "0F0-sum", "1F1-sum", "0F0-abs-sum"],
 )
 def test_overflow_mid_series_matches_per_term_loop(spec):
     # t_1 is finite and t_2 or the partial sum overflows, in the generated
@@ -546,6 +552,45 @@ def test_slow_alternating_series_at_minus_one():
     assert res.status is Status.EXTRAPOLATED
     assert res.terms_used < 4096
     assert abs(res.value - ref) <= res.abs_err_est <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, tol, ref",
+    [
+        # A Pp3Fp2Unity spec: with three Richardson levels it stopped at 64
+        # terms, 10.2 times its estimate off.
+        (
+            PFQSpec(
+                [0.8554694901878621, 2.287804150059813, 3.358590547208908,
+                 -1.2571579060128752, 0.6312025665398927, 3.6318756596444564],
+                [1.8554694901878621, 3.287804150059813, 4.358590547208908,
+                 0.6312025665398927, 2.6318756596444564],
+                1.0,
+            ),
+            1e-10,
+            "0.606369425522347255100062",
+        ),
+        # F32UnityJL-1-0007 of the verifier: 1.26 times its estimate off at
+        # three levels.
+        (
+            PFQSpec(
+                [-0.9514855805272231, 1.5058663103601544, 1.5058663103601544],
+                [2.5058663103601546, 2.5058663103601546],
+                1.0,
+            ),
+            1e-8,
+            "0.6506063275404376837993875",
+        ),
+    ],
+    ids=["Pp3Fp2Unity", "F32UnityJL"],
+)
+def test_circle_estimate_bounds_the_error_at_loose_tol(spec, tol, ref):
+    # References: mpmath.hyper at 30 digits.
+    res = eval_pfq(spec, tol=tol)
+    assert res.status is Status.EXTRAPOLATED
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.abs_err_est
+    assert res.terms_used >= 8 * RICHARDSON_FIRST_N - 1  # four levels at least
 
 
 def test_large_margin_at_unity():
