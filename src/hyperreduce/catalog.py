@@ -165,6 +165,8 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
     for name in entry.scalar_names:
         value = req.scalars[name]
         if name in entry.list_names:
+            if isinstance(value, (str, bytes)):
+                raise ValueError(f"{entry.id}: parameter list {name!r} must be numbers, got {value!r}")
             value = tuple(map(float, value))
             if not value:
                 raise ValueError(f"{entry.id}: parameter list {name!r} is empty")

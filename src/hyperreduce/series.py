@@ -16,10 +16,8 @@ like k^-(1+s), s = unity_margin, and summing them until they are small takes
 extrapolated instead by Richardson's rule with the exponents the remainder is
 known to have: S - S_N is a series in N^-sigma_j with sigma_j = s + j at
 z = +1 and sigma_j = s + 1 + j at z = -1 (N is even, so the alternating
-remainder keeps its sign).  There no Python loop runs over single terms: they
-are formed as NumPy arrays, up to N = 256 in the first pass and one level per
-pass after it, bitwise equal to the term-by-term recurrence, and each S_N is
-math.fsum over the first N terms, the correctly rounded partial sum.
+remainder keeps its sign).  The terms are formed in NumPy passes, bitwise
+equal to the term-by-term recurrence (see _extrapolate_on_circle).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import enum
 import functools
 import math
 import sys
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DivergentSeriesError,
@@ -64,10 +62,6 @@ RICHARDSON_FIRST_N = 16
 RICHARDSON_MIN_LEVELS = 4
 RICHARDSON_NOISE = 2.0
 RICHARDSON_SAFETY = 4.0
-
-# The unit-circle terms are formed in passes: the first covers the Richardson
-# levels up to CIRCLE_FIRST_PASS_N terms, each later one the next level.
-CIRCLE_FIRST_PASS_N = 256
 
 _EPS = math.ulp(1.0)
 
@@ -149,9 +143,8 @@ def eval_pfq(
     when the newest diagonal entry T differs from the previous one by at most
     max(tol * |T|, rounding floor of the table) (EXTRAPOLATED).  There tol is
     a relative tolerance on that change, the value is T, and abs_err_est is
-    four times the change plus the rounding floor.  The terms are computed as
-    arrays, with the same values as one at a time, and each partial sum is
-    rounded once (math.fsum over its terms), not once per term.
+    four times the change plus the rounding floor.  The terms and partial sums
+    are formed as _extrapolate_on_circle states.
 
     Raises ValueError unless max_terms is an integer >= 1 and 0 < tol < inf,
     DomainError for a non-finite parameter or z,
@@ -309,55 +302,22 @@ def _off_circle_loop(p: int, q: int):
 def _extrapolate_on_circle(
     spec: PFQSpec, margin: float, max_terms: int, tol: float
 ) -> EvalResult:
-    """Extrapolate the unit-circle (q = p - 1) partial sums at N = 16 * 2^i terms."""
-    sigma = margin + (0.0 if spec.z > 0.0 else 1.0)
-    row: list[float] = []  # the newest row of the Richardson table
-    divisors: list[float] = []  # 2^sigma_j - 1
-    amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
-    for n, total, abs_sum, term in _circle_partial_sums(spec, max_terms):
-        # Neither stop of the per-term loop applies here, so the sum runs to
-        # the next checkpoint, and one that ends at max_terms is the cap.
-        if n > max_terms:
-            break
-        # total holds the first n terms: one more row of the table.
-        prev_row, row = row, [total]
-        for j, prev in enumerate(prev_row):
-            row.append(row[j] + (row[j] - prev) / divisors[j])
-        if len(row) >= RICHARDSON_MIN_LEVELS:
-            delta = abs(row[-1] - prev_row[-1])
-            noise = RICHARDSON_NOISE * _EPS * math.sqrt(n) * abs_sum * amplification
-            if delta <= max(tol * abs(row[-1]), noise):
-                if not (math.isfinite(row[-1]) and math.isfinite(noise)):
-                    raise OverflowError("extrapolated sum overflowed to non-finite value")
-                return EvalResult(
-                    value=row[-1],
-                    abs_err_est=RICHARDSON_SAFETY * delta + noise,
-                    terms_used=n - 1,
-                    status=Status.EXTRAPOLATED,
-                )
-        # Past 2^64 a correction is below rounding; the cap keeps it finite.
-        divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
-        amplification *= 1.0 + 2.0 / divisors[-1]
-    rounding = RICHARDSON_NOISE * _EPS * math.sqrt(max_terms * 2 * len(spec.upper)) * abs_sum
-    return EvalResult(total, abs(term) * max_terms + rounding, max_terms, Status.MAX_TERMS_REACHED)
+    """Extrapolate the unit-circle (q = p - 1) partial sums at N = 16 * 2^i terms.
 
+    The terms are formed in NumPy passes: the first ends at N = 256, one level
+    past the earliest stop (RICHARDSON_MIN_LEVELS levels, N = 128), each later
+    one at the next level, and the last at the cap, term max_terms.  A pass
+    forms the factors z (a+k)... / ((k+1) (b+k)...) as arrays in the per-term
+    recurrence's order and the terms by a sequential product seeded with the
+    previous term, so every term is bitwise the one that recurrence gives;
+    sum |t_k| is a sequential running sum, bitwise the scalar one.  Each
+    checkpoint N of the pass with N <= max_terms adds S_N, math.fsum over all
+    N terms so far (the correctly rounded partial sum), to the Richardson
+    table, which stops the sum or moves on.  After the last pass the sum of
+    all max_terms + 1 terms is returned as MAX_TERMS_REACHED.
 
-def _circle_partial_sums(
-    spec: PFQSpec, max_terms: int
-) -> Iterator[tuple[int, float, float, float]]:
-    """Yield (N, S_N, sum |t_k|, t_{N-1}) over the first N terms of a unit-circle series.
-
-    N runs over N = 16 * 2^i and ends at the cap N = max_terms + 1.  The terms
-    are formed in passes: the first ends at N = 256, each later one at the next
-    N (or at the cap).  A pass forms the factors z (a+k)... / ((k+1) (b+k)...)
-    as arrays in the per-term recurrence's order and the terms by a sequential
-    product seeded with the previous term, so every term is bitwise the one
-    that recurrence gives; sum |t_k| is a sequential running sum, bitwise the
-    scalar one.  S_N is math.fsum over all N terms kept so far: the correctly
-    rounded partial sum.
-
-    The first pass forms terms past the point where its caller may stop, so
-    its NumPy operations neither warn nor raise.  A non-finite term stays
+    The first pass forms terms past the point where the sum may stop, so its
+    NumPy operations neither warn nor raise.  A non-finite term stays
     non-finite through the product, so OverflowError is raised at the first
     checkpoint whose last term is not finite, exactly when the per-term
     recurrence would have met an overflowed term.  A partial sum that
@@ -366,13 +326,16 @@ def _circle_partial_sums(
     import numpy as np  # only the circle path needs it; importing the package does not
 
     z = spec.z
+    sigma = margin + (0.0 if z > 0.0 else 1.0)
+    row: list[float] = []  # the newest row of the Richardson table
+    divisors: list[float] = []  # 2^sigma_j - 1
+    amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
     kept = [1.0]  # the terms t_0 ... t_{N-1} summed so far
-    abs_sum = 1.0
-    term = 1.0
-    k = 0  # index of the last term formed
+    term = abs_sum = 1.0  # t_stop and sum |t_k| up to it, which seed the next pass
+    stop = 0
     n = RICHARDSON_FIRST_N
-    while True:
-        stop = min(max(n, CIRCLE_FIRST_PASS_N) - 1, max_terms)
+    while stop < max_terms:
+        k, stop = stop, min(max(n, RICHARDSON_FIRST_N << RICHARDSON_MIN_LEVELS) - 1, max_terms)
         ks = np.arange(k, stop, dtype=float)
         terms = np.empty(stop - k + 1)  # terms[i] is t_{k + i}
         terms[0] = term
@@ -387,19 +350,36 @@ def _circle_partial_sums(
             magnitudes = np.abs(terms)
             magnitudes[0] = abs_sum
             np.add.accumulate(magnitudes, out=magnitudes)
-        ends = []
-        while n <= stop + 1:
-            ends.append(n)
-            n *= 2
-        if stop == max_terms and stop + 1 not in ends:
-            ends.append(stop + 1)
-        for end in ends:
-            term = terms[end - 1 - k].item()
-            if not math.isfinite(term):
+        while n <= min(stop + 1, max_terms):
+            if not math.isfinite(terms[n - 1 - k]):
                 raise OverflowError("series term overflowed to non-finite value")
-            kept += terms[len(kept) - k : end - k].tolist()
-            yield end, math.fsum(kept), magnitudes[end - 1 - k].item(), term
-        if stop == max_terms:
-            return
-        abs_sum = magnitudes[-1].item()
-        k = stop
+            kept += terms[len(kept) - k : n - k].tolist()
+            abs_sum = magnitudes[n - 1 - k].item()
+            # S_N of the first n terms: one more row of the table.
+            prev_row, row = row, [math.fsum(kept)]
+            for j, prev in enumerate(prev_row):
+                row.append(row[j] + (row[j] - prev) / divisors[j])
+            if len(row) >= RICHARDSON_MIN_LEVELS:
+                delta = abs(row[-1] - prev_row[-1])
+                noise = RICHARDSON_NOISE * _EPS * math.sqrt(n) * abs_sum * amplification
+                if delta <= max(tol * abs(row[-1]), noise):
+                    if not (math.isfinite(row[-1]) and math.isfinite(noise)):
+                        raise OverflowError("extrapolated sum overflowed to non-finite value")
+                    return EvalResult(
+                        value=row[-1],
+                        abs_err_est=RICHARDSON_SAFETY * delta + noise,
+                        terms_used=n - 1,
+                        status=Status.EXTRAPOLATED,
+                    )
+            # Past 2^64 a correction is below rounding; the cap keeps it finite.
+            divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
+            amplification *= 1.0 + 2.0 / divisors[-1]
+            n *= 2
+        term, abs_sum = terms[-1].item(), magnitudes[-1].item()
+    if not math.isfinite(term):
+        raise OverflowError("series term overflowed to non-finite value")
+    kept += terms[len(kept) - k :].tolist()
+    rounding = RICHARDSON_NOISE * _EPS * math.sqrt(max_terms * 2 * len(spec.upper)) * abs_sum
+    return EvalResult(
+        math.fsum(kept), abs(term) * max_terms + rounding, max_terms, Status.MAX_TERMS_REACHED
+    )

@@ -130,6 +130,10 @@ def test_signature_validation():
     for shift in (2.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="^n must be an integer >= 0"):
             catalog.reduce(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": shift}, 0.3))
+    # a string list parameter is not read character by character as (1.0, 2.0)
+    for value in ("12", b"12"):
+        with pytest.raises(ValueError, match="parameter list 'a'"):
+            catalog.reduce(ReductionRequest("Mp1FmIncBeta", {"a": value, "b": -0.5}, {}, 0.5))
 
 
 # Each entry's (scalar_names, list_names, shift_names, fixed_z), as the

@@ -27,7 +27,6 @@ from hyperreduce.series import (
     PFQSpec,
     Status,
     INTEGER_SNAP,
-    _circle_partial_sums,
     eval_pfq,
     is_nonpositive_integer,
     terminating_order,
@@ -603,14 +602,14 @@ def test_large_margin_at_unity():
 def _per_term_partial_sums(spec, max_terms):
     """The checkpoints of the unit-circle sum, computed one term at a time.
 
-    Yields (N, Kahan S_N, exactly rounded S_N, sum |t_k|, t_{N-1}) at
-    N = 16 * 2^i and at the cap N = max_terms + 1, with each term formed as
-    term *= z (a+k)... / ((k+1) (b+k)...) and summed by Kahan's compensated
-    loop; the exactly rounded S_N is math.fsum of all terms so far.
+    Yields (N, exactly rounded S_N, sum |t_k|, t_{N-1}) at N = 16 * 2^i and
+    at the cap N = max_terms + 1, with each term formed as
+    term *= z (a+k)... / ((k+1) (b+k)...); the exactly rounded S_N is
+    math.fsum of all terms so far.
     """
     z = spec.z
     terms = [1.0]
-    total, comp, abs_sum, term, k = 1.0, 0.0, 1.0, 1.0, 0
+    abs_sum, term, k = 1.0, 1.0, 0
     next_n = RICHARDSON_FIRST_N
     while True:
         stop = min(next_n - 1, max_terms)
@@ -625,19 +624,15 @@ def _per_term_partial_sums(spec, max_terms):
                 raise OverflowError("series term overflowed to non-finite value")
             k += 1
             terms.append(term)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
             abs_sum += abs(term)
-        yield k + 1, total, math.fsum(terms), abs_sum, term
+        yield k + 1, math.fsum(terms), abs_sum, term
         if stop == max_terms:
             return
         next_n *= 2
 
 
 def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
-    """The unit-circle sum of eval_pfq over the per-term Kahan partial sums.
+    """The unit-circle sum of eval_pfq over the per-term partial sums.
 
     The reference for the pass-at-a-time sum: the same Richardson table, stop
     rule and estimates, written out again.
@@ -646,7 +641,7 @@ def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
     z = spec.z
     sigma = unity_margin(spec) + (0.0 if z > 0.0 else 1.0)
     row, divisors, amplification = [], [], 1.0
-    for n, total, _, abs_sum, term in _per_term_partial_sums(spec, max_terms):
+    for n, total, abs_sum, term in _per_term_partial_sums(spec, max_terms):
         k = n - 1
         if k == max_terms:
             width = len(spec.upper) + len(spec.lower) + 1
@@ -659,6 +654,8 @@ def _per_term_on_circle(spec, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
             delta = abs(row[-1] - prev_row[-1])
             noise = RICHARDSON_NOISE * eps * math.sqrt(n) * abs_sum * amplification
             if delta <= max(tol * abs(row[-1]), noise):
+                if not (math.isfinite(row[-1]) and math.isfinite(noise)):
+                    raise OverflowError("extrapolated sum overflowed to non-finite value")
                 return EvalResult(
                     row[-1], RICHARDSON_SAFETY * delta + noise, k, Status.EXTRAPOLATED
                 )
@@ -709,11 +706,16 @@ _circle_spec = st.integers(2, 4).flatmap(
         ]
     ),
 )
+# Overflow of a term in the first pass (a = 1000) and in a later one (1500),
+# of a partial sum (517.755), and of the Richardson table (517.5).
+@example(drawn=([1000.0, 1000.0], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
+@example(drawn=([1500.0, 1500.0], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
+@example(drawn=([517.755, 517.755], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
+@example(drawn=([517.5, 517.5], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
 def test_segments_match_per_term_sum(drawn, tol, max_terms):
-    # The terms and sum |t_k| are bitwise the per-term recurrence's at every
-    # checkpoint, each partial sum is the exactly rounded one (math.fsum of
-    # the reference terms), and the stop (terms_used, status) is the per-term
-    # one.
+    # The whole result (value, estimate, terms used, status) is bitwise the
+    # per-term one: the terms and sum |t_k| are the per-term recurrence's and
+    # each partial sum is the exactly rounded one; an overflow raises in both.
     upper, lower, s, z = drawn
     lower = lower + [sum(upper) - sum(lower) + s]
     assume(not any(map(_is_pole, upper + lower)))
@@ -724,27 +726,12 @@ def test_segments_match_per_term_sum(drawn, tol, max_terms):
     except OverflowError:
         with pytest.raises(OverflowError):
             eval_pfq(spec, max_terms=max_terms, tol=tol)
-        last_n = max_terms + 1
-    else:
-        res = eval_pfq(spec, max_terms=max_terms, tol=tol)
-        assert (res.terms_used, res.status) == (ref.terms_used, ref.status)
-        assert type(res.terms_used) is int
-        if ref.status is Status.EXTRAPOLATED:
-            assert abs(res.value - ref.value) <= ref.abs_err_est
-        else:  # at the cap the estimate depends only on the last term and sum |t_k|
-            assert res.abs_err_est == ref.abs_err_est
-        last_n = ref.terms_used + 1
-    new = _checkpoints(_circle_partial_sums(spec, max_terms), last_n)
-    old = _checkpoints(_per_term_partial_sums(spec, max_terms), last_n)
-    assert len(new) == len(old)
-    for got, want in zip(new, old):
-        if want is OverflowError:
-            assert got is OverflowError
-            continue
-        n, partial, abs_sum, term = got
-        n_ref, _, exact, abs_ref, term_ref = want
-        assert (n, abs_sum.hex(), term.hex()) == (n_ref, abs_ref.hex(), term_ref.hex())
-        assert partial.hex() == exact.hex()
+        return
+    res = eval_pfq(spec, max_terms=max_terms, tol=tol)
+    assert type(res.terms_used) is int
+    assert (res.value.hex(), res.abs_err_est.hex(), res.terms_used, res.status) == (
+        ref.value.hex(), ref.abs_err_est.hex(), ref.terms_used, ref.status
+    )
 
 
 def test_overflow_on_circle_raises_without_warning():

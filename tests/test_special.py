@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperreduce import special
 from hyperreduce.catalog import POLE_DIST
 from hyperreduce.errors import DomainError, HyperreduceError, PoleError
 from hyperreduce.special import (
     EULER_GAMMA,
-    _incomplete_beta_fraction,
     bateman_g,
     bessel_i,
     bessel_j,
@@ -227,13 +227,11 @@ def test_incomplete_beta_near_unity_regression():
     assert _beta_rel_err(0.999999, 0.5, 0.3) <= 1e-14
 
 
-# For b < 0 near z = 1, where the fraction does not converge within its step
-# limit, B(a, b) - B_{1-z}(b, a) with B_{1-z}(b, a) summed as its series
-# (DLMF 8.17.7); b is kept 0.05 from the poles 0, -1, -2, ...  Over two
-# sets of 356 random points of this box, 64 and 66 took that route, within
-# 2.1e-15 of mpmath and with at most 4 terms.  Only those points are checked
-# here: where the fraction converges its value is unchanged, and it can be
-# 5.6e-13 off.
+# For b < 0 and 1 - z < min(0.01, 0.1 / a), B(a, b) - B_{1-z}(b, a) with
+# B_{1-z}(b, a) summed as its series (DLMF 8.17.7); b is kept 0.05 from the
+# poles 0, -1, -2, ...  There the fraction converges slowly or not within its
+# step limit, and can be 5.6e-13 off; every point of the box is checked,
+# including those with 1 - z >= 0.01, where the fraction is kept.
 @_beta_settings
 @given(
     a=st.floats(0.5, 4.0),
@@ -242,12 +240,29 @@ def test_incomplete_beta_near_unity_regression():
 )
 @example(a=2.0, b=-1.5, z=0.99999)
 def test_incomplete_beta_negative_b_near_unity_against_mpmath(a, b, z):
-    try:
-        _incomplete_beta_fraction(z, a, b)
-    except HyperreduceError:
-        assert _beta_rel_err(z, a, b) <= 1e-13
-    else:
-        assume(False)
+    assert _beta_rel_err(z, a, b) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "z, a, b, expected",
+    [
+        # The fraction converged here but was 5.6e-13 and 5.0e-13 off.
+        (0.9999964415907674, 1.4235374680829131, -2.1046342085867304, "139455411183.7974552491128"),
+        (0.99999, 2.5, -2.125, "19843979086.60895711627508"),
+    ],
+)
+def test_incomplete_beta_negative_b_near_unity_pinned(z, a, b, expected):
+    assert _rel_err(incomplete_beta(z, a, b), mpmath.mpf(expected)) <= 1e-15
+
+
+def test_incomplete_beta_negative_b_near_unity_skips_fraction(monkeypatch):
+    # The series route is chosen up front, not after the fraction has spent
+    # its step limit and failed.
+    def fraction(z, a, b):
+        raise AssertionError("the continued fraction was tried")
+
+    monkeypatch.setattr(special, "_incomplete_beta_fraction", fraction)
+    assert _rel_err(incomplete_beta(0.99999, 2.0, -1.5), mpmath.mpf("21081219.94573440985051008")) <= 1e-15
 
 
 def test_incomplete_beta_fraction_fails_loudly():
