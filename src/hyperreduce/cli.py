@@ -146,16 +146,15 @@ def _format_table(report: verifier.Report) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    entries = None
-    if args.only is not None:
-        # An unknown id raises KeyError here, before any entry runs.
-        ids = [part.strip() for part in args.only.split(",") if part.strip()]
-        entries = [catalog.get_entry(entry_id).id for entry_id in ids]
-    # --out is opened before the run, so a path that cannot be written fails
-    # at once, not after the whole suite.
-    with (open(args.out, "w", encoding="utf-8") if args.out is not None
+    entries = None if args.only is None else [part.strip() for part in args.only.split(",") if part.strip()]
+    # --out is opened for appending before the run, so a path that cannot be
+    # written fails at once, and a usage error leaves an existing file as it
+    # was; the file is emptied only once the report is ready.
+    with (open(args.out, "a", encoding="utf-8") if args.out is not None
           else contextlib.nullcontext(sys.stdout)) as out:
         report = verifier.run_suite(entries, args.cases, args.seed)
+        if args.out is not None:
+            out.truncate(0)
         if args.format == "json":
             out.write(verifier.report_to_json(report))
         elif args.format == "csv":

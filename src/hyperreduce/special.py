@@ -10,10 +10,11 @@ product of its k factors for every k >= 0, so its error is about 2k roundings;
 like any float product it overflows to +-inf rather than raising.
 
 The incomplete beta (DLMF 8.17.22) and the upper incomplete gamma (DLMF 8.9.2)
-are continued fractions summed by one modified Lentz loop, _lentz; where the
-incomplete beta's fraction fails near z = 1 with b < 0, a short series of
-DLMF 8.17.7 takes over.  No function here calls the series oracle eval_pfq, so
-a defect in the oracle cannot hit both sides of a verification.
+are continued fractions summed by one modified Lentz loop, _lentz; every
+incomplete-beta value comes from the one fraction, applied to B_z(a, b) or,
+through B(a, b) - B_{1-z}(b, a), to B_{1-z}(b, a).  No function here calls the
+series oracle eval_pfq, so a defect in the oracle cannot hit both sides of a
+verification.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ _FRACTION_TOL = math.ulp(1.0)
 _FRACTION_MAX_STEPS = 1_000
 _LENTZ_TINY = 1e-300
 
-# For b < 0, B_z(a, b) near z = 1 is B(a, b) - B_{1-z}(b, a), summed as a
-# series, only for b at least this far from the poles 0, -1, -2, ... of
-# Gamma(b) and of that series.
+# For b < 0 near z = 1, B_z(a, b) is B(a, b) - B_{1-z}(b, a) only for b this
+# far from the poles 0, -1, -2, ... of Gamma(b) and of B_{1-z}(b, a)'s fraction.
 _BETA_POLE_MARGIN = 0.05
 
 
@@ -175,22 +175,20 @@ def _lentz(b0: float, steps: Iterator[tuple[float, float]]) -> float | None:
 def incomplete_beta(z: float, a: float, b: float) -> float:
     """Incomplete beta B_z(a, b) for 0 < z <= 1, a > 0 and finite b.
 
-    For z < 1 it is the continued fraction of DLMF 8.17.22,
-    B_z(a, b) = z^a (1-z)^b / a * 1/(1 + d_1/(1 + d_2/(1 + ...))), by the
-    modified Lentz method (_lentz); it continues the integral analytically
-    to b <= 0.  Where b > 0 and z is past (a+1)/(a+b+2), the fraction of
-    B_{1-z}(b, a) converges faster, and the value is B(a, b) - B_{1-z}(b, a)
-    (DLMF 8.17.4) where also b >= 1 or z > 0.97: on the calls that verify
-    makes, the worst error against mpmath read 7.1e-15 this way and 3.0e-14
-    with the symmetry wherever b > 0.  For b < 0 and 1 - z < min(0.01, 0.1/a)
-    the fraction converges slowly, or not within _FRACTION_MAX_STEPS steps,
-    and loses accuracy (to 6e-13 against mpmath for a < 30, where the series
-    below reads 5e-15; at larger a (1 - z) the difference below loses digits
-    to cancellation); there, if b is at least _BETA_POLE_MARGIN from a
-    non-positive integer, the same symmetry holds by analytic continuation,
-    with B_{1-z}(b, a) summed as its series (_beta_series, DLMF 8.17.7).  A
-    fraction or series that does not converge raises HyperreduceError.  At
-    z = 1 (requires b > 0) the complete beta is used.
+    For z < 1 every value is the continued fraction of DLMF 8.17.22
+    (_incomplete_beta_fraction), applied to B_z(a, b), which it continues
+    analytically to b <= 0, or to B_{1-z}(b, a) in B(a, b) - B_{1-z}(b, a)
+    (DLMF 8.17.4).  The symmetric form is taken where b > 0, z is past
+    (a+1)/(a+b+2) and b >= 1 or z > 0.97, since there it converges faster: on
+    the calls that verify makes, the worst error against mpmath read 7.1e-15
+    this way and 3.0e-14 with the symmetry wherever b > 0.  It is also taken,
+    by analytic continuation, where b < 0, 1 - z < min(0.01, 0.1/a) and b is
+    at least _BETA_POLE_MARGIN from a non-positive integer: there the fraction
+    of B_z(a, b) converges slowly, or not within _FRACTION_MAX_STEPS steps, and
+    loses accuracy (to 6e-13 against mpmath for a < 30, where the symmetric
+    form reads 9.4e-15; at larger a (1 - z) the difference loses digits to
+    cancellation), so it is not tried.  A fraction that does not converge
+    raises HyperreduceError.  At z = 1 (requires b > 0) it is B(a, b).
     """
     if not 0.0 < a < math.inf:
         raise DomainError(f"incomplete beta requires 0 < a < inf, got a = {a}")
@@ -202,32 +200,17 @@ def incomplete_beta(z: float, a: float, b: float) -> float:
         if b <= 0.0:
             raise DomainError("incomplete beta at z = 1 requires b > 0")
         return complete_beta(a, b)
-    if b > 0.0 and z * (a + b + 2.0) > a + 1.0 and (b >= 1.0 or z > 0.97):
+    if (b > 0.0 and z * (a + b + 2.0) > a + 1.0 and (b >= 1.0 or z > 0.97)) or (
+        b < 0.0 and 1.0 - z < min(0.01, 0.1 / a) and not is_nonpositive_integer(b, _BETA_POLE_MARGIN)
+    ):
         return complete_beta(a, b) - _incomplete_beta_fraction(1.0 - z, b, a)
-    if b < 0.0 and 1.0 - z < min(0.01, 0.1 / a) and not is_nonpositive_integer(b, _BETA_POLE_MARGIN):
-        return complete_beta(a, b) - _beta_series(1.0 - z, b, a)
     return _incomplete_beta_fraction(z, a, b)
-
-
-def _beta_series(w: float, a: float, b: float) -> float:
-    """B_w(a, b) = w^a / a * sum_k a/(a+k) (1-b)_k/k! w^k (DLMF 8.17.7), for
-    0 < w < 1 and a off the non-positive integers, summed until a term is
-    below _FRACTION_TOL of the sum; HyperreduceError after
-    _FRACTION_MAX_STEPS terms."""
-    coeff = 1.0  # (1-b)_k / k! w^k
-    total = 1.0
-    for k in range(1, _FRACTION_MAX_STEPS + 1):
-        coeff *= (k - b) * w / k
-        term = coeff * a / (a + k)
-        total += term
-        if abs(term) <= _FRACTION_TOL * abs(total):
-            return w**a / a * total
-    raise HyperreduceError(f"series of B_w(a, b) at w = {w}, a = {a}, b = {b} did not converge")
 
 
 def _incomplete_beta_fraction(z: float, a: float, b: float) -> float:
     """B_z(a, b) = z^a (1-z)^b / a * 1/(1 + d_1/(1 + d_2/(1 + ...))) for
-    0 < z < 1 (DLMF 8.17.22), summed as its even contraction
+    0 < z < 1 and a > 0, or a < 0 off the poles (B_{1-z}(b, a) with b < 0),
+    by DLMF 8.17.22, summed as its even contraction
     1/(1 + d_1 - d_1 d_2/(1 + d_2 + d_3 - d_3 d_4/(1 + d_4 + d_5 - ...)))."""
     d1 = -(a + b) * z / (a + 1.0)
     frac = _lentz(1.0 + d1, _beta_fraction_steps(z, a, b, d1))
@@ -331,6 +314,9 @@ def _bessel_series(nu: float, x: float, alternating: bool) -> float:
     if x > 700.0:
         raise OverflowError(f"Bessel argument x = {x} too large for ascending series")
     if x == 0.0:
+        if nu < 0.0:  # infinite; a negative integer order is a pole, as for x > 0
+            _check_pole(nu + 1.0)
+            raise OverflowError(f"Bessel function of order {nu} is infinite at x = 0")
         return 1.0 if nu == 0.0 else 0.0
     half = 0.5 * x
     log_pref = nu * math.log(half)

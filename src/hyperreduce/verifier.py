@@ -165,10 +165,16 @@ def run_suite(
     seed: int = 0,
 ) -> Report:
     """Run every requested entry; the report content (excluding wall times)
-    is a pure function of (entries, cases_per_entry, seed)."""
-    ids = list(entries) if entries is not None else catalog.catalog_ids()
+    is a pure function of (entries, cases_per_entry, seed).  An unknown or
+    repeated id, or none at all, raises before any case runs."""
+    if isinstance(entries, (str, bytes)):
+        raise ValueError(f"entries must be a sequence of ids, not the string {entries!r}")
+    ids = [catalog.get_entry(i).id for i in entries] if entries is not None else catalog.catalog_ids()
     if not ids:
         raise ValueError("entries must be non-empty")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"entries must be distinct, got {', '.join(repeated)} more than once")
     summaries: list[EntrySummary] = []
     results: list[CaseResult] = []
     for entry_id in ids:

@@ -281,9 +281,14 @@ def test_criterion_09_cross_form_equivalences():
                 ReductionRequest("F21Contiguous", {"b": s["a"], "c": s["a"] + 1.0},
                                  {"n": sh["n"] - 1}, 0.5))
 
+    def literature(s, sh, z):  # the same left-hand side; Literature's domain lies inside IncBeta's
+        return (ReductionRequest("Pp2Fp1Literature", s, sh, z),
+                ReductionRequest("Pp2Fp1IncBeta", s, sh, z))
+
     worst_routes = {}
     for entry_id, pair in (("F22Laguerre", laguerre_22), ("F33Laguerre", laguerre_33),
-                           ("F43UnityNM", unity_nm), ("F21HalfBateman", half_bateman)):
+                           ("F43UnityNM", unity_nm), ("F21HalfBateman", half_bateman),
+                           ("Pp2Fp1Literature", literature)):
         worst_routes[entry_id] = 0.0
         for case in verifier.sample_cases(entry_id, 50, 1):
             req = case.request

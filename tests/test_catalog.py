@@ -12,6 +12,7 @@ from hyperreduce.catalog import ReductionRequest
 from hyperreduce.errors import (
     DegenerateParametersError,
     DomainError,
+    UnsatisfiableDomainError,
 )
 from hyperreduce.reductions import DISTINCT_TOL
 from hyperreduce.series import Status, eval_pfq
@@ -259,6 +260,25 @@ def test_sampling_respects_constraints():
     for _ in range(10):
         req = catalog.sample_request("F43Unity", rng)
         assert abs(req.scalars["b"] - req.scalars["c"]) >= 0.05
+
+
+def test_sample_request_gives_up_after_max_draws():
+    entry = catalog.get_entry("F21Contiguous")
+    original = entry.draw
+    draws = []
+
+    def out_of_domain(rng):  # c > 0 is one of the entry's rules
+        draws.append(rng)
+        return {"b": 0.7, "c": -1.4, "n": 2, "z": 0.3}
+
+    try:
+        object.__setattr__(entry, "draw", out_of_domain)  # CatalogEntry is frozen
+        with pytest.raises(UnsatisfiableDomainError,
+                           match="^could not sample an in-domain case for F21Contiguous in 500 draws$"):
+            catalog.sample_request("F21Contiguous", np.random.default_rng(0))
+    finally:
+        object.__setattr__(entry, "draw", original)
+    assert len(draws) == catalog._MAX_DRAWS == 500
 
 
 def test_sampled_requests_are_in_domain_everywhere():

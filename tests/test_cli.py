@@ -141,11 +141,26 @@ def test_verify_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--seed", "-1"]) == 2
     assert "seed=-1" in capsys.readouterr().err
+    # A repeated id would count its entry's failures twice.
+    assert run(["verify", "--only", "F01Bessel,F01Bessel", "--cases", "1"]) == 2
+    assert capsys.readouterr().err == "error: entries must be distinct, got F01Bessel more than once\n"
     # An --out that cannot be opened for writing: a missing directory, a directory.
     for out in (tmp_path / "missing" / "r.json", tmp_path):
         assert run(["verify", "--only", "F01Bessel", "--cases", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--cases", "0"], ["--seed", "-1"], ["--only", "NoSuchId"], ["--only", "F01Bessel,F01Bessel"]],
+)
+def test_verify_usage_error_leaves_out_file_as_it_was(argv, tmp_path, capsys):
+    out = tmp_path / "keep.json"
+    out.write_bytes(b'{"kept": true}\n')
+    assert run(["verify", *argv, "--out", str(out)]) == 2
+    assert out.read_bytes() == b'{"kept": true}\n'
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_unwritable_out_fails_before_the_run(monkeypatch, capsys):
@@ -172,6 +187,7 @@ def test_verify_json_round_trip(capsys):
 
 def test_verify_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
+    out_path.write_text("an older, longer report\n" * 10)  # replaced, not appended to
     assert run(["verify", "--only", "F01Bessel", "--cases", "3", "--format", "csv",
                 "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
@@ -329,6 +345,23 @@ def test_numpy_loaded_only_by_circle_oracle_and_sampler():
     assert _numpy_probe("verify --cases 1") == [("import", None, False), ("verify", 0, True)]
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["Mp1FmIncBeta", "--a", "", "--b", "-0.5", "--z", "0.3"], 2,
+         "Mp1FmIncBeta: parameter list 'a' is empty"),
+        (["F01Bessel", "--b", "1.5", "--z", "200000"], 3,
+         "F01Bessel: Bessel argument x = 894.4271909999159 too large for ascending series"),
+    ],
+    ids=["empty-list", "bessel-argument"],
+)
+def test_reduce_error_names_the_entry(argv, code, message, capsys):
+    assert run(["reduce", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_reduce_overflow_names_the_entry(capsys):
     # special.binomial's own message does not say which closed form failed;
     # catalog.reduce puts the entry id in front of it.
@@ -352,8 +385,8 @@ def test_reduce_incomplete_beta_near_unity(capsys):
 def test_reduce_incomplete_beta_negative_b_near_unity(capsys):
     # Mp1FmIncBeta with a = 2, b = 2.5 needs B_z(2, -1.5); at z = 0.99999 its
     # continued fraction does not converge within the step limit, and the
-    # value is B(2, -1.5) - B_{1-z}(-1.5, 2) by a short series, within 1e-13
-    # of 2F1(2.5, 2; 3; 0.99999) = 42163283.152915545859 (mpmath).
+    # value is B(2, -1.5) - B_{1-z}(-1.5, 2), the latter by its own fraction,
+    # within 1e-13 of 2F1(2.5, 2; 3; 0.99999) = 42163283.152915545859 (mpmath).
     assert run(["reduce", "Mp1FmIncBeta", "--a", "2", "--b", "2.5", "--z", "0.99999"]) == 0
     out = capsys.readouterr().out
     assert "value       = 42163283.1529" in out
@@ -364,7 +397,7 @@ def test_reduce_incomplete_beta_negative_b_near_unity(capsys):
 def test_reduce_incomplete_beta_fraction_not_converged_exits_3(capsys):
     # Mp1FmIncBeta with a = 2, b = 2.02 needs B_z(2, -1.02), within 0.05 of
     # the pole at -1; at z = 0.99999 its continued fraction does not converge
-    # within the step limit, and no series route is taken that near a pole.
+    # within the step limit, and no symmetric route is taken that near a pole.
     assert run(["reduce", "Mp1FmIncBeta", "--a", "2", "--b", "2.02", "--z", "0.99999"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

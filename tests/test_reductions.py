@@ -155,6 +155,16 @@ def test_closed_forms_reject_minus_infinity():
     assert reduce_corollary(pair, 1.2, np.int64(1)) == reduce_corollary(pair, 1.2, 1)
 
 
+def test_lemmas_raise_on_a_vanishing_pochhammer_divisor():
+    for call, message in (
+        (lambda: psi_sum_closed(0.5, -1.0, 3), r"^\(-1\.0\)_3 = 0$"),
+        (lambda: psi_sum_alternating(-1.0, 3), r"^\(-1\.0\)_3 = 0$"),
+        (lambda: ratio_derivative(2, 0.0, 0.5, 0.3), r"^\(-1\.0\)_2 = 0 in terminating 2F1$"),
+    ):
+        with pytest.raises(ZeroDivisionError, match=message):
+            call()
+
+
 def test_bateman_next_base():
     # G(1) = ln 2 and G(1) + G(2) = 1 force G(2) = 1 - ln 2.
     assert bateman_next(1.0, 0) == pytest.approx(1.0 - math.log(2.0), rel=1e-12)

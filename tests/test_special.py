@@ -228,10 +228,10 @@ def test_incomplete_beta_near_unity_regression():
 
 
 # For b < 0 and 1 - z < min(0.01, 0.1 / a), B(a, b) - B_{1-z}(b, a) with
-# B_{1-z}(b, a) summed as its series (DLMF 8.17.7); b is kept 0.05 from the
-# poles 0, -1, -2, ...  There the fraction converges slowly or not within its
+# B_{1-z}(b, a) from its own fraction; b is kept 0.05 from the poles 0, -1,
+# -2, ...  There the fraction of B_z(a, b) converges slowly or not within its
 # step limit, and can be 5.6e-13 off; every point of the box is checked,
-# including those with 1 - z >= 0.01, where the fraction is kept.
+# including those with 1 - z >= 0.01, where that fraction is kept.
 @_beta_settings
 @given(
     a=st.floats(0.5, 4.0),
@@ -256,17 +256,24 @@ def test_incomplete_beta_negative_b_near_unity_pinned(z, a, b, expected):
 
 
 def test_incomplete_beta_negative_b_near_unity_skips_fraction(monkeypatch):
-    # The series route is chosen up front, not after the fraction has spent
-    # its step limit and failed.
-    def fraction(z, a, b):
-        raise AssertionError("the continued fraction was tried")
+    # The symmetric route is chosen up front: the fraction runs once, on
+    # B_{1-z}(b, a), and the fraction of B_z(a, b) is never tried (it would
+    # spend its step limit here and fail).
+    calls = []
+    fraction = special._incomplete_beta_fraction
 
-    monkeypatch.setattr(special, "_incomplete_beta_fraction", fraction)
-    assert _rel_err(incomplete_beta(0.99999, 2.0, -1.5), mpmath.mpf("21081219.94573440985051008")) <= 1e-15
+    def recorder(z, a, b):
+        calls.append((z, a, b))
+        return fraction(z, a, b)
+
+    monkeypatch.setattr(special, "_incomplete_beta_fraction", recorder)
+    value = incomplete_beta(0.99999, 2.0, -1.5)
+    assert calls == [(1.0 - 0.99999, -1.5, 2.0)]
+    assert _rel_err(value, mpmath.mpf("21081219.94573440985051008")) <= 1e-15
 
 
 def test_incomplete_beta_fraction_fails_loudly():
-    # Within 0.05 of a pole of Gamma(b) the series route is not taken: near
+    # Within 0.05 of a pole of Gamma(b) the symmetric route is not taken: near
     # z = 1 the fraction converges too slowly for its step limit, and it
     # raises, naming its arguments.
     with pytest.raises(HyperreduceError, match=r"z = 0\.99999, a = 2\.0, b = -1\.02"):
@@ -312,6 +319,24 @@ def test_bessel_j_matches_scipy():
         assert bessel_j(nu, x) == pytest.approx(scipy.special.jv(nu, x), rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0])
+def test_bessel_at_zero_matches_scipy(nu):
+    # A negative order is infinite at x = 0: it once read 0.0 there.
+    for ours, theirs in ((bessel_i, scipy.special.iv), (bessel_j, scipy.special.jv)):
+        if math.isinf(theirs(nu, 0.0)):
+            with pytest.raises(OverflowError, match=f"order {nu} is infinite at x = 0"):
+                ours(nu, 0.0)
+        else:
+            assert ours(nu, 0.0) == theirs(nu, 0.0)
+
+
+def test_bessel_negative_integer_order_is_a_pole_at_zero_too():
+    for f in (bessel_i, bessel_j):
+        for x in (0.0, 0.5):
+            with pytest.raises(PoleError):
+                f(-1.0, x)
+
+
 def test_laguerre_matches_scipy():
     rng = np.random.default_rng(21)
     for _ in range(80):
@@ -320,6 +345,8 @@ def test_laguerre_matches_scipy():
         x = rng.uniform(-4.0, 4.0)
         expected = scipy.special.eval_genlaguerre(n, alpha, x)
         assert laguerre(n, alpha, x) == pytest.approx(expected, rel=1e-11, abs=1e-12)
+    with pytest.raises(DomainError, match="^Laguerre degree must be non-negative$"):
+        laguerre(-1, 0.5, 1.0)
 
 
 def test_off_poles():

@@ -82,7 +82,7 @@ def test_run_case_oracle_non_convergent_is_skip(monkeypatch):
     assert summary.skipped == 3
 
 
-def test_run_suite_counts_and_determinism():
+def test_run_suite_counts_and_determinism(monkeypatch):
     report1 = verifier.run_suite(["F21Contiguous"], 7, 3)
     assert len(report1.results) == 7
     s = report1.summaries[0]
@@ -94,6 +94,18 @@ def test_run_suite_counts_and_determinism():
     assert sum1 == sum2
     with pytest.raises(ValueError):
         verifier.run_suite([], 5, 0)
+    # The entry list is decided before any case runs: a repeated id would
+    # count its cases twice, and a string would be read as one id per letter.
+    with pytest.raises(ValueError, match="^entries must be distinct, got F21Contiguous more than once$"):
+        verifier.run_suite(["F21Contiguous", "F01Bessel", "F21Contiguous"], 2, 0)
+    for entries in ("F21Contiguous", b"F21Contiguous"):
+        with pytest.raises(ValueError, match="not the string"):
+            verifier.run_suite(entries, 2, 0)
+    calls = []
+    monkeypatch.setattr(verifier, "run_case", calls.append)
+    with pytest.raises(KeyError, match="unknown reduction id 'Nope'"):
+        verifier.run_suite(["F21Contiguous", "Nope"], 200, 0)
+    assert calls == []
 
 
 def test_run_suite_order_independent():
