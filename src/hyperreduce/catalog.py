@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -41,6 +42,20 @@ class ReductionRequest(NamedTuple):
     z: float | None = None
 
 
+class _SampledRequest(ReductionRequest):
+    """A request from ``sample_request``: ``scalars`` and ``shifts`` are
+    read-only views of values that were flattened and checked when it was
+    drawn, so ``_unpack`` does not check them again."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> ReductionRequest:
+        # _replace builds through _make: an edited request is one the caller
+        # built, and is checked in full.
+        return ReductionRequest._make(iterable)
+
+
 class CatalogEntry:
     """One named reduction: ``pFq(lhs(p)) == rhs(...)`` on the entry's domain.
 
@@ -53,13 +68,16 @@ class CatalogEntry:
       names are the request keys, scalars (annotated ``float``, or
       ``Sequence[float]`` for a list), then shifts (``int``), then ``z`` when
       ``fixed_z`` is None.  It returns ``(value, magnitude)``.
-    - The domain is checked in one place for every caller (``reduce``,
-      ``lhs_spec`` and ``sample_request``): ``_validate`` applies ``rules``
-      in order and raises for the first that p breaks (see ``_rule``).  An
-      entry states the names that must be > 0 (``_positive``), then, with a
-      list parameter, ``_A_LIST``, then its own rules (poles, bounds tied to
-      shifts, the z range); ``_register`` appends ``convergent at z = 1``
-      when ``fixed_z == 1``.
+    - The domain is checked by one function, ``_validate``: it applies
+      ``rules`` in order and raises for the first that p breaks (see
+      ``_rule``).  ``sample_request`` runs it on each draw, then ``_flatten``
+      (signature, types, finiteness, shifts) once on the accepted draw; its
+      request is read-only, so ``reduce`` and ``lhs_spec`` take its params
+      unchecked.  Any other request is flattened and validated in full by
+      each of them.  An entry states the names that must be > 0
+      (``_positive``), then, with a list parameter, ``_A_LIST``, then its own
+      rules (poles, bounds tied to shifts, the z range); ``_register``
+      appends ``convergent at z = 1`` when ``fixed_z == 1``.
     - ``constraints`` is the texts of ``rules``, joined with "; ".
     - ``ordinal`` is the registration order.  It seeds the entry's sampling
       stream, so reordering entries changes every verifier report.
@@ -148,9 +166,27 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 
 def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
-    """Check the request against the entry's signature and domain, and
-    flatten it into the params dict in rhs argument order: scalars, shifts,
-    then z."""
+    """The params dict in rhs argument order: scalars, shifts, then z.  A
+    sampled request was checked when it was drawn and cannot change since;
+    any other is checked against the entry's signature and domain here."""
+    if type(req) is _SampledRequest:
+        return {**req.scalars, **req.shifts, "z": entry.fixed_z if req.z is None else req.z}
+    params = _flatten(entry, req)
+    _validate(entry, params)
+    return params
+
+
+def _number(entry: CatalogEntry, name: str, value: object) -> float:
+    # float() would parse a string: "0.7" is not a parameter value.
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{entry.id}: parameter {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flatten(entry: CatalogEntry, req: ReductionRequest) -> dict:
+    """Check the request against the entry's signature, with finite values
+    and shifts that are integers >= 0, and flatten it into the params dict
+    (see ``_unpack``); the domain rules are ``_validate``'s."""
     mismatch = [
         f"{verb} {kind} {sorted(names)}"
         for kind, got, want in (("scalars", set(req.scalars), set(entry.scalar_names)),
@@ -167,12 +203,12 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
         if name in entry.list_names:
             if isinstance(value, (str, bytes)):
                 raise ValueError(f"{entry.id}: parameter list {name!r} must be numbers, got {value!r}")
-            value = tuple(map(float, value))
+            value = tuple(_number(entry, name, v) for v in value)
             if not value:
                 raise ValueError(f"{entry.id}: parameter list {name!r} is empty")
             finite = all(map(math.isfinite, value))
         else:
-            value = float(value)
+            value = _number(entry, name, value)
             finite = math.isfinite(value)
         if not finite:
             raise DomainError(f"{entry.id}: {name} must be finite, got {value}")
@@ -181,16 +217,15 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
         params[name] = rd._shift(name, req.shifts[name])
     if entry.fixed_z is not None:
         if req.z is not None and req.z != entry.fixed_z:
-            raise ValueError(f"{entry.id}: z is fixed at {entry.fixed_z}, got {req.z}")
+            raise ValueError(f"{entry.id}: z is fixed at {entry.fixed_z}, got {req.z!r}")
         params["z"] = entry.fixed_z
     else:
         if req.z is None:
             raise ValueError(f"{entry.id}: z is required")
-        z = float(req.z)
+        z = _number(entry, "z", req.z)
         if not math.isfinite(z):
             raise DomainError(f"{entry.id}: z must be finite, got {z}")
         params["z"] = z
-    _validate(entry, params)
     return params
 
 
@@ -225,7 +260,12 @@ def lhs_spec(req: ReductionRequest) -> PFQSpec:
 
 def sample_request(entry_id: str, rng: np.random.Generator) -> ReductionRequest:
     """Draw one in-domain request for the entry, rejection-sampling on the
-    entry's constraints; raises UnsatisfiableDomainError after bounded retries."""
+    entry's constraints; raises UnsatisfiableDomainError after bounded retries.
+
+    The request is read-only: its ``scalars`` and ``shifts`` are
+    ``MappingProxyType`` views, checked once here, so ``reduce`` and
+    ``lhs_spec`` do not check them again.  A ``ReductionRequest`` rebuilt
+    from them is checked in full."""
     entry = get_entry(entry_id)
     for _ in range(_MAX_DRAWS):
         params = entry.draw(rng)
@@ -238,7 +278,13 @@ def sample_request(entry_id: str, rng: np.random.Generator) -> ReductionRequest:
         scalars = {name: params[name] for name in entry.scalar_names}
         shifts = {name: params[name] for name in entry.shift_names}
         z = None if entry.fixed_z is not None else params["z"]
-        return ReductionRequest(entry_id, scalars, shifts, z)
+        p = _flatten(entry, ReductionRequest(entry_id, scalars, shifts, z))
+        return _SampledRequest(
+            entry_id,
+            MappingProxyType({name: p[name] for name in entry.scalar_names}),
+            MappingProxyType({name: p[name] for name in entry.shift_names}),
+            None if entry.fixed_z is not None else p["z"],
+        )
     raise UnsatisfiableDomainError(
         f"could not sample an in-domain case for {entry_id} in {_MAX_DRAWS} draws"
     )

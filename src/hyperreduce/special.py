@@ -313,9 +313,12 @@ def _bessel_series(nu: float, x: float, alternating: bool) -> float:
         raise DomainError(f"Bessel series requires x >= 0, got x = {x}")
     if x > 700.0:
         raise OverflowError(f"Bessel argument x = {x} too large for ascending series")
+    if nu < 0.0 and float(nu).is_integer():  # I_{-n} = I_n and J_{-n} = (-1)^n J_n
+        value = _bessel_series(-nu, x, alternating)
+        return -value if alternating and nu % 2 else value
     if x == 0.0:
-        if nu < 0.0:  # infinite; a negative integer order is a pole, as for x > 0
-            _check_pole(nu + 1.0)
+        _check_pole(nu + 1.0)  # a non-finite order raises, as for x > 0
+        if nu < 0.0:
             raise OverflowError(f"Bessel function of order {nu} is infinite at x = 0")
         return 1.0 if nu == 0.0 else 0.0
     half = 0.5 * x
@@ -340,12 +343,13 @@ def _bessel_series(nu: float, x: float, alternating: bool) -> float:
 
 
 def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x) by its ascending series."""
+    """Modified Bessel function I_nu(x) by its ascending series; I_{-n} = I_n."""
     return _bessel_series(nu, x, alternating=False)
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """Bessel function J_nu(x) by its alternating ascending series."""
+    """Bessel function J_nu(x) by its alternating ascending series;
+    J_{-n} = (-1)^n J_n."""
     return _bessel_series(nu, x, alternating=True)
 
 

@@ -135,6 +135,16 @@ def test_signature_validation():
     for value in ("12", b"12"):
         with pytest.raises(ValueError, match="parameter list 'a'"):
             catalog.reduce(ReductionRequest("Mp1FmIncBeta", {"a": value, "b": -0.5}, {}, 0.5))
+    # nor is a string parsed as a number: float("0.7") would read 0.7
+    for value in ("0.7", b"0.7"):
+        with pytest.raises(ValueError, match="parameter 'b' must be a number"):
+            catalog.reduce(ReductionRequest("F21Contiguous", {"b": value, "c": 1.4}, {"n": 1}, 0.3))
+        with pytest.raises(ValueError, match="parameter 'z' must be a number"):
+            catalog.lhs_spec(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": 1}, value))
+        with pytest.raises(ValueError, match="parameter 'a' must be a number"):
+            catalog.reduce(ReductionRequest("Mp1FmIncBeta", {"a": (value,), "b": -0.5}, {}, 0.5))
+    with pytest.raises(ValueError, match="^F21HalfBateman: z is fixed at 0.5, got '0.5'$"):
+        catalog.reduce(ReductionRequest("F21HalfBateman", {"a": 1.0}, {"n": 1}, "0.5"))
 
 
 # Each entry's (scalar_names, list_names, shift_names, fixed_z), as the
@@ -289,6 +299,60 @@ def test_sampled_requests_are_in_domain_everywhere():
             # must not raise
             catalog.reduce(req)
             catalog.lhs_spec(req)
+
+
+def test_sampled_request_unpacks_as_a_rebuilt_one():
+    # A sampled request skips the checks in _unpack; its params are the ones
+    # the full check gives, in the same order.
+    for seed in (0, 1, 4242):
+        for entry_id in catalog.catalog_ids():
+            entry = catalog.get_entry(entry_id)
+            for case in verifier.sample_cases(entry_id, 200, seed):
+                req = case.request
+                rebuilt = ReductionRequest(req.id, dict(req.scalars), dict(req.shifts), req.z)
+                assert type(rebuilt) is not type(req)
+                assert repr(catalog._unpack(entry, req)) == repr(catalog._unpack(entry, rebuilt))
+
+
+def test_sampled_request_is_read_only():
+    req = catalog.sample_request("F21Contiguous", np.random.default_rng(3))
+    with pytest.raises(TypeError):
+        req.scalars["b"] = 0.5
+    with pytest.raises(TypeError):
+        req.shifts["n"] = -1
+    with pytest.raises(AttributeError):
+        req.extra = 1
+    # an edited request is the caller's, and is checked in full
+    edited = req._replace(z=2.0)
+    assert type(edited) is ReductionRequest
+    _assert_rejected(edited)
+
+
+@pytest.mark.parametrize("entry_id", ["F43Unity", "F21Contiguous"])
+def test_sampled_case_is_validated_once_per_draw(entry_id, monkeypatch):
+    # sample_request checks each draw; lhs_spec and reduce do not check the
+    # accepted one again.
+    entry = catalog.get_entry(entry_id)
+    original, validate = entry.draw, catalog._validate
+    counts = {"draw": 0, "validate": 0}
+
+    def counted_draw(rng):
+        counts["draw"] += 1
+        return original(rng)
+
+    def counted_validate(entry, p):
+        counts["validate"] += 1
+        validate(entry, p)
+
+    monkeypatch.setattr(catalog, "_validate", counted_validate)
+    try:
+        object.__setattr__(entry, "draw", counted_draw)  # CatalogEntry is frozen
+        summary, _ = verifier.run_entry(entry_id, 40, 1)
+    finally:
+        object.__setattr__(entry, "draw", original)
+    assert summary.passed + summary.failed + summary.skipped == 40
+    assert counts["draw"] >= 40
+    assert counts["validate"] == counts["draw"]
 
 
 # Names each entry requires to be > 0 (scalars, and z where the series

@@ -330,11 +330,19 @@ def test_bessel_at_zero_matches_scipy(nu):
             assert ours(nu, 0.0) == theirs(nu, 0.0)
 
 
-def test_bessel_negative_integer_order_is_a_pole_at_zero_too():
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bessel_negative_integer_order_matches_scipy(n):
+    # I_{-n} = I_n and J_{-n} = (-1)^n J_n: finite, and 0 at x = 0.  They once
+    # raised PoleError from Gamma(1 - n).  At x = 20 the alternating series
+    # cancels terms near 1e9, so J is good to about 1e-9 absolute there, as
+    # for the positive order it equals.
+    for x in (0.0, 0.5, 3.0, 20.0):
+        assert bessel_i(-n, x) == pytest.approx(scipy.special.iv(-n, x), rel=1e-14, abs=0.0)
+        assert bessel_j(-n, x) == pytest.approx(scipy.special.jv(-n, x), rel=1e-9, abs=2e-9)
+        assert bessel_j(-n, x) == (-1) ** n * bessel_j(n, x)
     for f in (bessel_i, bessel_j):
-        for x in (0.0, 0.5):
-            with pytest.raises(PoleError):
-                f(-1.0, x)
+        with pytest.raises(DomainError, match="finite argument"):
+            f(math.nan, 0.0)
 
 
 def test_laguerre_matches_scipy():
