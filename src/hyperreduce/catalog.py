@@ -177,8 +177,9 @@ def _unpack(entry: CatalogEntry, req: ReductionRequest) -> dict:
 
 
 def _number(entry: CatalogEntry, name: str, value: object) -> float:
-    # float() would parse a string: "0.7" is not a parameter value.
-    if isinstance(value, (str, bytes)):
+    # float() would parse a string: "0.7" is not a parameter value; nor is
+    # True, which float() reads as 1.0.
+    if isinstance(value, (str, bytes, bool)):
         raise ValueError(f"{entry.id}: parameter {name!r} must be a number, got {value!r}")
     return float(value)
 

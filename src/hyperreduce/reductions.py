@@ -63,8 +63,9 @@ class _Acc:
 
 
 def _shift(name: str, value: object, least: int = 0) -> int:
-    """A lemma's integer shift: what operator.index accepts, at least ``least``."""
-    if not hasattr(value, "__index__") or operator.index(value) < least:
+    """A lemma's integer shift: what operator.index accepts, at least ``least``,
+    but not a bool, which operator.index reads as 0 or 1."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return operator.index(value)
 

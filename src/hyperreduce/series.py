@@ -17,7 +17,11 @@ extrapolated instead by Richardson's rule with the exponents the remainder is
 known to have: S - S_N is a series in N^-sigma_j with sigma_j = s + j at
 z = +1 and sigma_j = s + 1 + j at z = -1 (N is even, so the alternating
 remainder keeps its sign).  The terms are formed in NumPy passes, bitwise
-equal to the term-by-term recurrence (see _extrapolate_on_circle).
+equal to the term-by-term recurrence.  Each S_N is the correctly rounded
+partial sum, read off a running sum and the running sum of its steps' exact
+rounding errors (TwoSum; Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+2008), which the same passes form; math.fsum over the terms takes the rare
+sums that this cannot round, such as exact ties (see _extrapolate_on_circle).
 """
 
 from __future__ import annotations
@@ -299,6 +303,91 @@ def _off_circle_loop(p: int, q: int):
     return namespace["_sum"]
 
 
+# The exact partial sums on the circle (see _extrapolate_on_circle).  A pass
+# forms the running sum s_j = s_{j-1} + t_j one step at a time and, for each
+# step, its exact rounding error e_j by Knuth's TwoSum, with their running sum
+# E_j.  Then S_N = s_{N-1} + sum e_j exactly, and E_{N-1} is that sum up to its
+# own rounding, at most gamma_N sum |e_j| <= N^2 eps^2 / 4 * sum |t_k| since
+# |e_j| <= eps/2 |s_j|; the bound used is four times that.  Below
+# _TWO_SUM_LIMIT for sum |t_k| no running sum, step or error can overflow, so
+# TwoSum stays exact.
+_TWO_SUM_LIMIT = 2.0 ** 1020
+
+# A pass of at most this many terms (every pass up to N = 8192) takes its
+# plan from a small cache shared by all calls; a longer pass builds its own.
+_CACHED_PASS_TERMS = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _circle_pass(z: float, k: int, stop: int, n: int, last: int):
+    """The plan of a unit-circle pass that forms t_{k+1} ... t_stop.
+
+    Returns ks (k ... stop - 1 as floats), steps = z / (ks + 1), the pass's
+    checkpoints n, 2n, ... up to last, the index of t_{N-1} in the pass for
+    each checkpoint N followed by that of t_stop, and the next checkpoint.
+    The arrays are read-only, since the cache shares them among calls.
+    """
+    import numpy as np
+
+    ks = np.arange(k, stop, dtype=float)
+    steps = np.divide(z, ks + 1.0)
+    checkpoints = []
+    while n <= last:
+        checkpoints.append(n)
+        n *= 2
+    index = np.array([c - 1 - k for c in checkpoints] + [stop - k])
+    ks.flags.writeable = steps.flags.writeable = index.flags.writeable = False
+    return ks, steps, tuple(checkpoints), index, n
+
+
+def _running_sums(terms, sums, errors, spare, total: float, error: float) -> None:
+    """The running sum of a pass's terms and the exact errors of its steps.
+
+    terms[1:] are the new terms t_j of the pass.  sums[0] becomes total and
+    sums[i] the running sum s_j through terms[i]; errors[0] becomes error and
+    errors[i] the running sum of the exact errors
+    e_j = (s_{j-1} - (s_j - bb)) + (t_j - bb), bb = s_j - s_{j-1} (Knuth's
+    TwoSum), in that order of operations.  spare is scratch of len(terms) - 1
+    elements.  Overflow is left to the caller's np.errstate.
+    """
+    import numpy as np
+
+    term, terms[0] = terms[0], total  # terms[0] seeds the sequential sum
+    np.add.accumulate(terms, out=sums)
+    terms[0] = term
+    s, s_prev, step_errors = sums[1:], sums[:-1], errors[1:]
+    np.subtract(s, s_prev, out=spare)
+    np.subtract(s, spare, out=step_errors)
+    np.subtract(s_prev, step_errors, out=step_errors)
+    np.subtract(terms[1:], spare, out=spare)
+    step_errors += spare
+    errors[0] = error
+    np.add.accumulate(errors, out=errors)
+
+
+def _rounded_partial_sum(total: float, error: float, n: int, abs_sum: float) -> float | None:
+    """S_N = t_0 + ... + t_{N-1} rounded to nearest, or None if undecided.
+
+    total is the running sum s_{N-1}, error the running sum E_{N-1} of its
+    steps' exact errors and abs_sum sum |t_k|, for N = n terms.  The exact S_N
+    lies within n^2 eps^2 abs_sum of total + error (see _TWO_SUM_LIMIT).
+    TwoSum splits total + error into r + r_err exactly, and r is the correctly
+    rounded S_N when |r_err| plus that bound is below half the smaller spacing
+    of doubles next to r: ulp(r) / 2, or ulp(r) / 4 when |r| is a power of
+    two.  None means that test fails (a near tie, or S_N so far below abs_sum
+    that the bound passes its spacing), or abs_sum is not below _TWO_SUM_LIMIT.
+    """
+    if not abs_sum < _TWO_SUM_LIMIT:
+        return None
+    r = total + error
+    bb = r - total
+    r_err = (total - (r - bb)) + (error - bb)
+    half = 0.5 * math.ulp(r)
+    if abs(math.frexp(r)[0]) == 0.5:
+        half *= 0.5
+    return r if abs(r_err) + n * n * _EPS * _EPS * abs_sum < half else None
+
+
 def _extrapolate_on_circle(
     spec: PFQSpec, margin: float, max_terms: int, tol: float
 ) -> EvalResult:
@@ -310,11 +399,18 @@ def _extrapolate_on_circle(
     forms the factors z (a+k)... / ((k+1) (b+k)...) as arrays in the per-term
     recurrence's order and the terms by a sequential product seeded with the
     previous term, so every term is bitwise the one that recurrence gives;
-    sum |t_k| is a sequential running sum, bitwise the scalar one.  Each
-    checkpoint N of the pass with N <= max_terms adds S_N, math.fsum over all
-    N terms so far (the correctly rounded partial sum), to the Richardson
-    table, which stops the sum or moves on.  After the last pass the sum of
-    all max_terms + 1 terms is returned as MAX_TERMS_REACHED.
+    sum |t_k| is a sequential running sum, bitwise the scalar one.  The same
+    pass forms the running sum of the terms, the exact error of each of its
+    steps (TwoSum) and their running sum, each seeded with the previous pass's
+    last value, and reads what every checkpoint needs in one gather.
+
+    Each checkpoint N of the pass with N <= max_terms adds S_N, the correctly
+    rounded sum of the first N terms, to the Richardson table, which stops the
+    sum or moves on.  S_N is read off the running sum and its error
+    (_rounded_partial_sum); where that cannot decide the rounding (a near tie,
+    a sum far below sum |t_k|, or sums near the double range) it is math.fsum
+    over the terms kept from every pass.  After the last pass the sum of all
+    max_terms + 1 terms, taken the same way, is returned as MAX_TERMS_REACHED.
 
     The first pass forms terms past the point where the sum may stop, so its
     NumPy operations neither warn nor raise.  A non-finite term stays
@@ -326,60 +422,75 @@ def _extrapolate_on_circle(
     import numpy as np  # only the circle path needs it; importing the package does not
 
     z = spec.z
+    first, *upper = spec.upper  # p = q + 1 >= 1
     sigma = margin + (0.0 if z > 0.0 else 1.0)
     row: list[float] = []  # the newest row of the Richardson table
     divisors: list[float] = []  # 2^sigma_j - 1
     amplification = 1.0  # prod_j (2^sigma_j + 1) / (2^sigma_j - 1)
-    kept = [1.0]  # the terms t_0 ... t_{N-1} summed so far
-    term = abs_sum = 1.0  # t_stop and sum |t_k| up to it, which seed the next pass
+    kept: list = [[1.0]]  # t_0, then each pass's new terms, for math.fsum
+    # t_stop, sum |t_k|, the running sum and its running error up to it,
+    # which seed the next pass
+    term = abs_sum = total = 1.0
+    error = 0.0
     stop = 0
     n = RICHARDSON_FIRST_N
-    while stop < max_terms:
-        k, stop = stop, min(max(n, RICHARDSON_FIRST_N << RICHARDSON_MIN_LEVELS) - 1, max_terms)
-        ks = np.arange(k, stop, dtype=float)
-        terms = np.empty(stop - k + 1)  # terms[i] is t_{k + i}
-        terms[0] = term
-        factors = terms[1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(z, ks + 1.0, out=factors)
-            for a in spec.upper:
-                factors *= a + ks
+    with np.errstate(over="ignore", invalid="ignore"):
+        while stop < max_terms:
+            k, stop = stop, min(max(n, RICHARDSON_FIRST_N << RICHARDSON_MIN_LEVELS) - 1, max_terms)
+            plan = _circle_pass if stop - k <= _CACHED_PASS_TERMS else _circle_pass.__wrapped__
+            ks, steps, checkpoints, index, n = plan(z, k, stop, n, min(stop + 1, max_terms))
+            width = stop - k
+            work = np.empty((5, width + 1))
+            terms, magnitudes, sums, errors, scratch = work  # [i] is at index k + i
+            new, spare = terms[1:], scratch[1:]
+            terms[0] = term
+            np.add(ks, first, out=new)
+            new *= steps
+            for a in upper:
+                new *= np.add(ks, a, out=spare)
             for b in spec.lower:
-                factors /= b + ks
+                new /= np.add(ks, b, out=spare)
             np.multiply.accumulate(terms, out=terms)
-            magnitudes = np.abs(terms)
+            np.abs(terms, out=magnitudes)
             magnitudes[0] = abs_sum
             np.add.accumulate(magnitudes, out=magnitudes)
-        while n <= min(stop + 1, max_terms):
-            if not math.isfinite(terms[n - 1 - k]):
-                raise OverflowError("series term overflowed to non-finite value")
-            kept += terms[len(kept) - k : n - k].tolist()
-            abs_sum = magnitudes[n - 1 - k].item()
-            # S_N of the first n terms: one more row of the table.
-            prev_row, row = row, [math.fsum(kept)]
-            for j, prev in enumerate(prev_row):
-                row.append(row[j] + (row[j] - prev) / divisors[j])
-            if len(row) >= RICHARDSON_MIN_LEVELS:
-                delta = abs(row[-1] - prev_row[-1])
-                noise = RICHARDSON_NOISE * _EPS * math.sqrt(n) * abs_sum * amplification
-                if delta <= max(tol * abs(row[-1]), noise):
-                    if not (math.isfinite(row[-1]) and math.isfinite(noise)):
-                        raise OverflowError("extrapolated sum overflowed to non-finite value")
-                    return EvalResult(
-                        value=row[-1],
-                        abs_err_est=RICHARDSON_SAFETY * delta + noise,
-                        terms_used=n - 1,
-                        status=Status.EXTRAPOLATED,
-                    )
-            # Past 2^64 a correction is below rounding; the cap keeps it finite.
-            divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
-            amplification *= 1.0 + 2.0 / divisors[-1]
-            n *= 2
-        term, abs_sum = terms[-1].item(), magnitudes[-1].item()
-    if not math.isfinite(term):
-        raise OverflowError("series term overflowed to non-finite value")
-    kept += terms[len(kept) - k :].tolist()
+            _running_sums(terms, sums, errors, spare, total, error)
+            kept.append(new)
+            ends, abs_sums, totals, errs = work[:4].take(index, axis=1).tolist()
+            term, abs_sum, total, error = ends[-1], abs_sums[-1], totals[-1], errs[-1]
+            for c, last, c_abs_sum, c_total, c_error in zip(
+                checkpoints, ends, abs_sums, totals, errs
+            ):
+                if not math.isfinite(last):
+                    raise OverflowError("series term overflowed to non-finite value")
+                # S_N of the first c terms: one more row of the table.
+                partial = _rounded_partial_sum(c_total, c_error, c, c_abs_sum)
+                if partial is None:
+                    partial = math.fsum(np.concatenate([*kept[:-1], new[: c - 1 - k]]).tolist())
+                prev_row, row = row, [partial]
+                for j, prev in enumerate(prev_row):
+                    row.append(row[j] + (row[j] - prev) / divisors[j])
+                if len(row) >= RICHARDSON_MIN_LEVELS:
+                    delta = abs(row[-1] - prev_row[-1])
+                    noise = RICHARDSON_NOISE * _EPS * math.sqrt(c) * c_abs_sum * amplification
+                    if delta <= max(tol * abs(row[-1]), noise):
+                        if not (math.isfinite(row[-1]) and math.isfinite(noise)):
+                            raise OverflowError("extrapolated sum overflowed to non-finite value")
+                        return EvalResult(
+                            value=row[-1],
+                            abs_err_est=RICHARDSON_SAFETY * delta + noise,
+                            terms_used=c - 1,
+                            status=Status.EXTRAPOLATED,
+                        )
+                # Past 2^64 a correction is below rounding; the cap keeps it finite.
+                divisors.append(2.0 ** min(sigma + len(divisors), 64.0) - 1.0)
+                amplification *= 1.0 + 2.0 / divisors[-1]
+        if not math.isfinite(term):
+            raise OverflowError("series term overflowed to non-finite value")
+        value = _rounded_partial_sum(total, error, max_terms + 1, abs_sum)
+        if value is None:
+            value = math.fsum(np.concatenate(kept).tolist())
     rounding = RICHARDSON_NOISE * _EPS * math.sqrt(max_terms * 2 * len(spec.upper)) * abs_sum
     return EvalResult(
-        math.fsum(kept), abs(term) * max_terms + rounding, max_terms, Status.MAX_TERMS_REACHED
+        value, abs(term) * max_terms + rounding, max_terms, Status.MAX_TERMS_REACHED
     )

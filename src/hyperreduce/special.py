@@ -35,6 +35,13 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # math.exp overflows past it
 
+# The alternating series of J_nu(x) cancels terms whose magnitudes sum to
+# I_nu(x) <= e^x (nu >= 0), so its rounding error is up to about eps * e^x,
+# while |J_nu(x)| falls like sqrt(2 / (pi x)).  Past this x, eps * e^x exceeds
+# 1e-6 and the digits left go on falling until none are (J_0.5(60) read 1.5e7,
+# not -0.031).  The sampler's arguments stay below 2 sqrt(20) = 8.9.
+_BESSEL_J_MAX_X = math.log(1e-6 / math.ulp(1.0))  # 22.2
+
 # Asymptotic digamma: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n).
 _DIGAMMA_ASYMPTOTIC = (
     1.0 / 12.0,
@@ -313,6 +320,11 @@ def _bessel_series(nu: float, x: float, alternating: bool) -> float:
         raise DomainError(f"Bessel series requires x >= 0, got x = {x}")
     if x > 700.0:
         raise OverflowError(f"Bessel argument x = {x} too large for ascending series")
+    if alternating and x > _BESSEL_J_MAX_X:
+        raise HyperreduceError(
+            f"Bessel J series at x = {x} loses its digits to cancellation"
+            f" (x > {_BESSEL_J_MAX_X:.1f})"
+        )
     if nu < 0.0 and float(nu).is_integer():  # I_{-n} = I_n and J_{-n} = (-1)^n J_n
         value = _bessel_series(-nu, x, alternating)
         return -value if alternating and nu % 2 else value
@@ -349,7 +361,8 @@ def bessel_i(nu: float, x: float) -> float:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function J_nu(x) by its alternating ascending series;
-    J_{-n} = (-1)^n J_n."""
+    J_{-n} = (-1)^n J_n.  HyperreduceError for x > _BESSEL_J_MAX_X (22.2),
+    where the series' rounding error, up to about eps * e^x, passes 1e-6."""
     return _bessel_series(nu, x, alternating=True)
 
 

@@ -127,16 +127,18 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         catalog.reduce(ReductionRequest("F21HalfBateman", {"a": 1.0}, {"n": 1}, 0.3))
     # a shift is what operator.index accepts, as for the lemmas: not 2.0, and
-    # a non-finite shift gets the same message, not int()'s own error
-    for shift in (2.0, math.inf, math.nan):
+    # a non-finite shift gets the same message, not int()'s own error; nor is
+    # True, which operator.index reads as 1
+    for shift in (2.0, math.inf, math.nan, True):
         with pytest.raises(DomainError, match="^n must be an integer >= 0"):
             catalog.reduce(ReductionRequest("F21Contiguous", {"b": 0.7, "c": 1.4}, {"n": shift}, 0.3))
     # a string list parameter is not read character by character as (1.0, 2.0)
     for value in ("12", b"12"):
         with pytest.raises(ValueError, match="parameter list 'a'"):
             catalog.reduce(ReductionRequest("Mp1FmIncBeta", {"a": value, "b": -0.5}, {}, 0.5))
-    # nor is a string parsed as a number: float("0.7") would read 0.7
-    for value in ("0.7", b"0.7"):
+    # nor is a string parsed as a number: float("0.7") would read 0.7, and
+    # float(True) 1.0
+    for value in ("0.7", b"0.7", True):
         with pytest.raises(ValueError, match="parameter 'b' must be a number"):
             catalog.reduce(ReductionRequest("F21Contiguous", {"b": value, "c": 1.4}, {"n": 1}, 0.3))
         with pytest.raises(ValueError, match="parameter 'z' must be a number"):

@@ -282,6 +282,15 @@ def test_reduce_gamma_overflow_exits_3(capsys):
     assert "Gamma(180.0) exceeds double range" in captured.err
 
 
+def test_reduce_bessel_j_past_its_digits_exits_3(capsys):
+    # x = 2 sqrt(900) = 60: the alternating series for J once read -7.02e7
+    # here and exited 0.
+    assert run(["reduce", "F12BesselJ", "--b", "1.5", "--c", "2", "--n", "1", "--z", "900"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Bessel J series at x = 60.0 loses its digits" in captured.err
+
+
 def test_reduce_check_passes_when_pochhammer_overflows(capsys):
     # (1e200)_2 overflows to inf, which turns a negligible term of the closed
     # form into 0 instead of raising.

@@ -139,6 +139,7 @@ def test_closed_forms_reject_minus_infinity():
         ("n", lambda: psi_sum_closed(0.5, 1.5, -1)),
         ("n", lambda: bateman_next(1.0, 1.5)),
         ("n", lambda: bateman_next(1.0, 2.0)),
+        ("n", lambda: bateman_next(1.0, True)),
         ("n", lambda: h_derivative(1.5, 1.0, 0.5, 0.3, 0.5)),
         ("n", lambda: h_derivative(-1, 1.0, 0.5, 0.3, 0.5)),
         ("m", lambda: ratio_derivative(1.5, 1.0, 0.5, 0.3)),

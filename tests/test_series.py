@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from hyperreduce import series
 from hyperreduce.catalog import POLE_DIST
 from hyperreduce.errors import (
     DivergentSeriesError,
@@ -712,6 +713,14 @@ _circle_spec = st.integers(2, 4).flatmap(
 @example(drawn=([1500.0, 1500.0], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
 @example(drawn=([517.755, 517.755], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
 @example(drawn=([517.5, 517.5], [], 1.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
+# Terms growing from 1 to 1e54 over 4 097 terms, summed to the cap in a later pass.
+@example(drawn=([100.0, 100.0], [], 1.5, 1.0), tol=1e-15, max_terms=4097)
+# An alternating sum that keeps 4e-8 of sum |t_k| (16 383 terms).
+@example(drawn=([10.0, 10.0], [], 0.5, -1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
+# Exact ties left to math.fsum: at N = 1024, in the fourth pass, and at the
+# cap, N = 16.
+@example(drawn=([-2.5, 0.5], [], 2.5, 1.0), tol=1e-15, max_terms=DEFAULT_MAX_TERMS)
+@example(drawn=([-2.5, 1.0], [], 0.25, 1.0), tol=1e-15, max_terms=15)
 def test_segments_match_per_term_sum(drawn, tol, max_terms):
     # The whole result (value, estimate, terms used, status) is bitwise the
     # per-term one: the terms and sum |t_k| are the per-term recurrence's and
@@ -732,6 +741,73 @@ def test_segments_match_per_term_sum(drawn, tol, max_terms):
     assert (res.value.hex(), res.abs_err_est.hex(), res.terms_used, res.status) == (
         ref.value.hex(), ref.abs_err_est.hex(), ref.terms_used, ref.status
     )
+
+
+def _checkpoint_sum(terms):
+    """S_N of the terms t_0 ... t_{N-1} as a unit-circle checkpoint takes it
+    when they form one pass: the running sums of series._running_sums rounded
+    by series._rounded_partial_sum, or None where that leaves S_N to
+    math.fsum."""
+    xs = np.array(terms, dtype=float)
+    sums, errors, spare = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series._running_sums(xs, sums, errors, spare, xs[0].item(), 0.0)
+        abs_sum = np.add.accumulate(np.abs(xs))[-1].item()
+    return series._rounded_partial_sum(sums[-1].item(), errors[-1].item(), len(xs), abs_sum)
+
+
+_UNDECIDED = [
+    [1.0, 2.0**-53],  # halfway between 1 and its successor: fsum rounds to even
+    [1.0, 2.0**-53, 2.0**-200],  # just past halfway, which the running sum cannot see
+    [2.0, -(2.0**-53)],  # halfway below a power of two, where the spacing halves
+    [2.0, -(2.0**-53), -(2.0**-100)],
+    [1e200, 1.0, 1e-200, -1e200],  # sum |t_k| is too large for the bound to decide
+]
+
+
+@pytest.mark.parametrize("terms", _UNDECIDED + [[-t for t in ts] for ts in _UNDECIDED])
+def test_checkpoint_sum_leaves_near_ties_to_fsum(terms):
+    assert _checkpoint_sum(terms) is None
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [1.0, -(2.0**-54), -(2.0**-60)],  # lands just below 1: 1 - 2^-53
+        [4.0, -0.75 * 2.0**-52],  # rounds up to the power of two 4
+        [1.0, 1.0 - 2.0**-53, 2.0**-60],
+        [math.comb(8, k) * (-0.9) ** k for k in range(9)],  # (1 - 0.9)^8: 10 digits cancel
+        [1e200, 1.0, 1e-200, -3e199, 1e-100],
+        [1e-200, 3e-201, -1e-300, 1e-250],
+        [1.0, 0.1, 0.01, -0.3, 1e-17, 1e-300],
+    ],
+)
+def test_checkpoint_sum_is_the_correctly_rounded_sum(terms):
+    for n in range(1, len(terms) + 1):
+        got = _checkpoint_sum(terms[:n])
+        assert got is None or got.hex() == math.fsum(terms[:n]).hex()
+    assert _checkpoint_sum(terms).hex() == math.fsum(terms).hex()
+    assert _checkpoint_sum([-t for t in terms]).hex() == math.fsum([-t for t in terms]).hex()
+
+
+def test_checkpoint_sum_that_overflows_is_left_to_fsum():
+    # The running sum passes the double range: the sum is math.fsum's, which
+    # raises, as it did when every checkpoint was one fsum.
+    for terms in ([1e308, 1e308, -1e308], [1.0, 1.7e308, 1.7e308]):
+        assert _checkpoint_sum(terms) is None
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    terms=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+    | st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=300)
+)
+def test_checkpoint_sum_is_fsum_or_left_to_it(terms):
+    got = _checkpoint_sum(terms)
+    if got is not None:
+        assert got.hex() == math.fsum(terms).hex()
 
 
 def test_overflow_on_circle_raises_without_warning():

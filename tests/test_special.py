@@ -319,6 +319,19 @@ def test_bessel_j_matches_scipy():
         assert bessel_j(nu, x) == pytest.approx(scipy.special.jv(nu, x), rel=1e-9, abs=1e-12)
 
 
+def test_bessel_j_refuses_arguments_past_its_digits():
+    # The alternating series cancels terms up to e^x / sqrt(2 pi x): at x = 60
+    # it read 1.48e7 where scipy reads -0.0314.  I has no cancellation.
+    with pytest.raises(HyperreduceError, match="loses its digits to cancellation"):
+        bessel_j(0.5, 60.0)
+    with pytest.raises(HyperreduceError, match="loses its digits to cancellation"):
+        bessel_j(-3, 60.0)
+    assert bessel_i(0.5, 60.0) == pytest.approx(scipy.special.iv(0.5, 60.0), rel=1e-11)
+    # Up to the bound it is still good to about 1e-8 absolute.
+    x = special._BESSEL_J_MAX_X
+    assert bessel_j(0.5, x) == pytest.approx(scipy.special.jv(0.5, x), rel=0.0, abs=1e-8)
+
+
 @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 2.0])
 def test_bessel_at_zero_matches_scipy(nu):
     # A negative order is infinite at x = 0: it once read 0.0 there.
