@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Sequence
 
@@ -701,3 +702,24 @@ def test_uniform_draw_is_generator_uniform():
         assert draw.hex() == float(theirs.uniform(lo, hi)).hex()
         if i % 7 == 0:
             assert catalog._n(ours, 0, 5) == int(theirs.integers(0, 6))
+
+
+# sha256 over float.hex of every closed form's value and error estimate, for
+# 200 sampled requests of each of the 28 entries.  The report hashes in
+# tests/test_verifier.py sample 30 cases per entry, which rarely reach the
+# larger shifts n and m; these 5 600 values do, so a change to how a closed
+# form or special function computes must leave every bit of this as it was.
+GOLDEN_CLOSED_FORM_SHA256 = {
+    1: "fa54542a402f9db02ef253908d2390b9966bb6aef44a180412048992fe4182d0",
+    4242: "855b3c50ebc87f13ab97e3c00a709cfe2016869bfa0966fa9d155e1ad2f79d8d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CLOSED_FORM_SHA256))
+def test_golden_closed_form_hash(seed):
+    digest = hashlib.sha256()
+    for entry_id in catalog.catalog_ids():
+        for case in verifier.sample_cases(entry_id, 200, seed):
+            result = catalog.reduce(case.request)
+            digest.update(f"{case.case_id} {result.value.hex()} {result.abs_err_est.hex()}\n".encode())
+    assert digest.hexdigest() == GOLDEN_CLOSED_FORM_SHA256[seed]
