@@ -3,7 +3,8 @@
 Commands: eval (direct series), reduce (closed form by id), verify (randomized
 suite), catalog (list formulas).  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including non-finite input), 3 numerical error (also a
-`reduce --check` case that the series oracle cannot settle).
+`reduce --check` case that the series oracle cannot settle, and an `eval`
+value whose error estimate reaches its magnitude).
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"status      = {result.status.value}")
     if result.status is Status.MAX_TERMS_REACHED:
         print("error: series did not converge within the term cap", file=sys.stderr)
+        return EXIT_NUMERIC
+    if result.abs_err_est >= abs(result.value):
+        print("error: cancellation left no correct digit: abs_err_est >= |value|", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

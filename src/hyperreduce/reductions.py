@@ -92,8 +92,11 @@ def f32_half_bateman_rhs(a: float, c: float, n: int) -> tuple[float, float]:
     """3F2(a,a,c+n; a+1,c; 1/2) as a * 2^a * sum of Bateman-G values."""
     pre = a * 2.0**a
     acc = _Acc()
+    pa = pc = 1.0  # (a)_k and (c)_k
     for k in range(n + 1):
-        acc.add(binomial(n, k) * pochhammer(a, k) / pochhammer(c, k) * bateman_g(a + k))
+        acc.add(binomial(n, k) * pa / pc * bateman_g(a + k))
+        pa *= a + k
+        pc *= c + k
     return pre * acc.total, abs(pre) * acc.magnitude
 
 
@@ -133,8 +136,11 @@ def _f32_half_shifted(
     pre = 2.0 ** (a - 1.0) * gamma_ratio(((a + b + 1.0) / 2.0,), (a,))
     b_eff = b - down_shift if down_shift else b + m
     acc = _Acc()
+    pb = pc = 1.0  # (b_eff)_k and (c)_k
     for k in range(n + 1):
-        outer = binomial(n, k) * pochhammer(b_eff, k) / pochhammer(c, k)
+        outer = binomial(n, k) * pb / pc
+        pb *= b_eff + k
+        pc *= c + k
         inner = _Acc()
         for s in range(m + 1):
             g = gamma_ratio(
@@ -228,9 +234,11 @@ def _f12_bessel(b: float, c: float, n: int, z: float, modified: bool) -> tuple[f
     root = 2.0 * math.sqrt(z)
     pre = z ** ((1.0 - b) / 2.0) * gamma_fn(b)
     acc = _Acc()
+    pc = 1.0  # (c)_k
     for k in range(n + 1):
         bess = bessel_i(b + k - 1.0, root) if modified else bessel_j(b + k - 1.0, root)
-        term = binomial(n, k) * z ** (k / 2.0) / pochhammer(c, k) * bess
+        term = binomial(n, k) * z ** (k / 2.0) / pc * bess
+        pc *= c + k
         if not modified and k % 2 == 1:
             term = -term
         acc.add(term)
@@ -250,14 +258,24 @@ def f12_bessel_j_rhs(b: float, c: float, n: int, z: float) -> tuple[float, float
 def _f23_bessel(
     b: float, c: float, d: float, n: int, m: int, z: float, modified: bool
 ) -> tuple[float, float]:
+    """Each Bessel order b + k + ell - 1 is evaluated once per call, keyed by
+    the order as computed: (b + k) + ell may round apart from b + (k + ell)."""
     root = 2.0 * math.sqrt(z)
     pre = z ** ((1.0 - b) / 2.0) * gamma_fn(b) * gamma_fn(d)
+    bessel = bessel_i if modified else bessel_j
+    values: dict[float, float] = {}
+    dm = d + m
     acc = _Acc()
+    pd = pc = 1.0  # (d + m)_k and (c)_k
     for k in range(n + 1):
-        outer = binomial(n, k) * pochhammer(d + m, k) / pochhammer(c, k)
+        outer = binomial(n, k) * pd / pc
+        pd *= dm + k
+        pc *= c + k
         for ell in range(m + 1):
             nu = b + k + ell - 1.0
-            bess = bessel_i(nu, root) if modified else bessel_j(nu, root)
+            bess = values.get(nu)
+            if bess is None:
+                bess = values[nu] = bessel(nu, root)
             term = (
                 outer
                 * binomial(m, ell)
@@ -295,8 +313,10 @@ def f22_inc_gamma_rhs(a: float, c: float, n: int, z: float) -> tuple[float, floa
     """2F2(a,c+n; a+1,c; -z) as an alternating sum of incomplete gammas."""
     pre = a * z ** (-a)
     acc = _Acc()
+    pc = 1.0  # (c)_k
     for k in range(n + 1):
-        term = binomial(n, k) * lower_incomplete_gamma(a + k, z) / pochhammer(c, k)
+        term = binomial(n, k) * lower_incomplete_gamma(a + k, z) / pc
+        pc *= c + k
         if k % 2 == 1:
             term = -term
         acc.add(term)
@@ -315,8 +335,10 @@ def f22_laguerre_rhs(a: float, b: float, n: int, m: int, z: float) -> tuple[floa
     """2F2(a+n,b+m; a,b; z) = m! e^z/(b)_m * sum_k C(n,k) z^k L_m^{b+k-1}(-z)/(a)_k."""
     pre = math.factorial(m) * math.exp(z) / pochhammer(b, m)
     acc = _Acc()
+    pa = 1.0  # (a)_k
     for k in range(n + 1):
-        acc.add(binomial(n, k) * z**k * laguerre(m, b + k - 1.0, -z) / pochhammer(a, k))
+        acc.add(binomial(n, k) * z**k * laguerre(m, b + k - 1.0, -z) / pa)
+        pa *= a + k
     return pre * acc.total, abs(pre) * acc.magnitude
 
 
@@ -326,8 +348,10 @@ def f33_laguerre_rhs(
     """3F3(a+n,b+m,c+k; a,b,c; z) as a double finite Laguerre sum."""
     pre = math.factorial(m) * math.exp(z) / (pochhammer(b, m) * pochhammer(a, n))
     acc = _Acc()
+    pc = 1.0  # (c)_ell
     for ell in range(k + 1):
-        outer = binomial(k, ell) / pochhammer(c, ell)
+        outer = binomial(k, ell) / pc
+        pc *= c + ell
         for s in range(n + 1):
             # Gamma(a+n+ell) / Gamma(a+ell+s) = (a+ell+s)_{n-s}
             acc.add(
@@ -377,8 +401,11 @@ def f21_contiguous_rhs(b: float, c: float, n: int, z: float) -> tuple[float, flo
     ratio = z / (1.0 - z)
     pre = (1.0 - z) ** (-b)
     acc = _Acc()
+    pb = pc = 1.0  # (b)_k and (c)_k
     for k in range(n + 1):
-        acc.add(binomial(n, k) * pochhammer(b, k) / pochhammer(c, k) * ratio**k)
+        acc.add(binomial(n, k) * pb / pc * ratio**k)
+        pb *= b + k
+        pc *= c + k
     return pre * acc.total, abs(pre) * acc.magnitude
 
 
@@ -397,8 +424,11 @@ def pp3_h_rhs(
     derivative operator acting on z^g B_z."""
     pre = z ** (1.0 - d) * math.prod(a) / pochhammer(d, m)
     total = _Acc()
+    pb = pc = 1.0  # (b)_k and (c)_k
     for k in range(n + 1):
-        coef = binomial(n, k) * pochhammer(b, k) / pochhammer(c, k)
+        coef = binomial(n, k) * pb / pc
+        pb *= b + k
+        pc *= c + k
         inner = _partial_fraction_sum(
             a,
             lambda al, k=k: h_derivative(m, al + k, 1.0 - b - k, m + d - al - 1.0, z),
@@ -424,15 +454,21 @@ def pp3_inc_beta_rhs(
         return betas[x, y]
 
     total = _Acc()
+    pb = pc = 1.0  # (b)_k and (c)_k
     for k in range(n + 1):
-        outer = binomial(n, k) * pochhammer(b, k) / pochhammer(c, k)
+        outer = binomial(n, k) * pb / pc
+        bk = b + k
+        pb *= bk
+        pc *= c + k
+        pbk = 1.0  # (b + k)_s
         for s in range(m + 1):
             coef = (
                 outer
                 * binomial(m, s)
-                * pochhammer(b + k, s)
+                * pbk
                 * pochhammer(d + k + s, m - s)
             )
+            pbk *= bk + s
             inner = _partial_fraction_sum(
                 a,
                 lambda al, k=k, s=s: z ** (-al) * beta(al + k + s, 1.0 - b - k - s),
@@ -462,28 +498,29 @@ def f32_p0_rhs(
     """3F2(b,c+n,d+m; c,d; z), z != 1, via terminating inner 2F1 sums."""
     ratio = z / (1.0 - z)
     pre = (1.0 - z) ** (-(b + m))
+    dm = d + m
     acc = _Acc()
+    pb = pdm = pc = pd = 1.0  # (b)_k, (d + m)_k, (c)_k and (d)_k
     for k in range(n + 1):
         inner = _terminating_2f1(m, d - b, d + k, z)
-        acc.add(
-            binomial(n, k)
-            * pochhammer(b, k)
-            * pochhammer(d + m, k)
-            / (pochhammer(c, k) * pochhammer(d, k))
-            * ratio**k
-            * inner
-        )
+        acc.add(binomial(n, k) * pb * pdm / (pc * pd) * ratio**k * inner)
+        pb *= b + k
+        pdm *= dm + k
+        pc *= c + k
+        pd *= d + k
     return pre * acc.total, abs(pre) * acc.magnitude
 
 
 def _terminating_2f1(m: int, upper: float, lower: float, z: float) -> float:
     """2F1(-m, upper; lower; z) summed exactly over its m+1 terms."""
     total = 0.0
+    num = den = 1.0  # (upper)_ell and (lower)_ell
     for ell in range(m + 1):
-        den = pochhammer(lower, ell)
         if den == 0.0:
             raise ZeroDivisionError(f"({lower})_{ell} = 0 in terminating 2F1")
-        term = binomial(m, ell) * pochhammer(upper, ell) * z**ell / den
+        term = binomial(m, ell) * num * z**ell / den
+        num *= upper + ell
+        den *= lower + ell
         if ell % 2 == 1:
             term = -term
         total += term
@@ -621,16 +658,16 @@ def h_derivative(n: int, alpha: float, beta: float, gamma: float, z: float) -> f
         raise DomainError("requires 0 < z <= 1")
     if z == 1.0 and beta <= n:
         raise DomainError("z = 1 requires beta > n")
-    main = pochhammer(-gamma, n) * incomplete_beta(z, alpha, beta)
+    neg_gamma = [1.0]  # (-gamma)_j, j = 0..n
+    for j in range(n):
+        neg_gamma.append(neg_gamma[-1] * (-gamma + j))
+    main = neg_gamma[n] * incomplete_beta(z, alpha, beta)
     corr = 0.0
+    p_alpha = 1.0  # (1 - alpha)_k
     for k in range(n if z < 1.0 else 0):
         inner, _ = f21_contiguous_rhs(1.0 - beta, alpha - k, k, z)
-        corr += (
-            binomial(n, k + 1)
-            * pochhammer(-gamma, n - k - 1)
-            * pochhammer(1.0 - alpha, k)
-            * inner
-        )
+        corr += binomial(n, k + 1) * neg_gamma[n - k - 1] * p_alpha * inner
+        p_alpha *= 1.0 - alpha + k
     value = z ** (gamma - n) * (main - z**alpha * corr)
     return value if n % 2 == 0 else -value
 

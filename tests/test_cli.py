@@ -55,6 +55,17 @@ def test_eval_divergent_exits_3(capsys):
     )
 
 
+def test_eval_cancelled_value_exits_3(capsys):
+    # 1F1(1; 1; -40) = e^-40 = 4.2e-18, but the terms reach 40^40/40! = 1.5e16
+    # and their cancellation leaves an estimate far above the value printed.
+    assert run(["eval", "--upper", "1", "--lower", "1", "--z", "-40"]) == 3
+    captured = capsys.readouterr()
+    fields = {key.strip(): value for key, value in (line.split(" = ") for line in captured.out.splitlines())}
+    assert float(fields["abs_err_est"]) >= abs(float(fields["value"])) > 0.1
+    assert fields["status"] == "Converged"
+    assert captured.err == "error: cancellation left no correct digit: abs_err_est >= |value|\n"
+
+
 def test_eval_usage_errors(capsys):
     assert run(["eval", "--upper", "1,x", "--lower", "2", "--z", "0.5"]) == 2
     assert run(["eval", "--upper", "1", "--lower", "2", "--z", "0.5", "--tol", "-1"]) == 2

@@ -499,3 +499,26 @@ def test_pp3_inc_beta_evaluates_each_beta_once(monkeypatch):
     res = reduce(req)
     assert len(calls) == len(set(calls)) == 10
     assert res.value == pytest.approx(eval_pfq(lhs_spec(req)).value, rel=1e-12)
+
+
+# -- Bessel closed forms --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["bessel_i", "bessel_j"])
+def test_f23_bessel_evaluates_each_order_once(name, monkeypatch):
+    # The (n + 1)(m + 1) terms need the orders b + k + ell - 1, of which
+    # n + m + 1 are distinct; each is evaluated once, and the value is the
+    # one computed without the recorder.
+    rhs = reductions.f23_bessel_i_rhs if name == "bessel_i" else reductions.f23_bessel_j_rhs
+    args = (1.25, 1.3, 0.8, 3, 2, 2.7)
+    expected = rhs(*args)
+    calls = []
+    original = getattr(reductions, name)
+
+    def recording(nu, x):
+        calls.append(nu)
+        return original(nu, x)
+
+    monkeypatch.setattr(reductions, name, recording)
+    assert rhs(*args) == expected
+    assert len(calls) == len(set(calls)) == 3 + 2 + 1

@@ -386,7 +386,8 @@ def test_lower_incomplete_gamma_rejects_non_finite(a, z):
 
 def test_lower_incomplete_gamma_past_series_overflow():
     # The ascending series overflows past z ~ 709 (or its e^-z factor leaves
-    # the normal range); there the value is Gamma(a) - Gamma(a, z).
+    # the normal range); there the value is Gamma(a), since Gamma(a, z) is
+    # below half an ulp of it.
     for z in (700.0, 800.0, 1000.0):
         assert lower_incomplete_gamma(0.5, z) == pytest.approx(
             scipy.special.gammainc(0.5, z) * scipy.special.gamma(0.5), rel=1e-12
@@ -394,6 +395,26 @@ def test_lower_incomplete_gamma_past_series_overflow():
     # An overflowing Gamma(a) still raises.
     with pytest.raises(OverflowError):
         lower_incomplete_gamma(180.0, 1000.0)
+
+
+# Past z = 708.4, where e^-z leaves the normal range, and where the ascending
+# sum overflows (a tiny, z near 700), Gamma(a, z) / Gamma(a) is below 1e-129,
+# so Gamma(a) - Gamma(a, z) rounds to Gamma(a): the value is Gamma(a), bitwise,
+# and an a whose Gamma(a) overflows raises OverflowError as Gamma(a) does.
+@pytest.mark.parametrize("a", [float(a) for a in np.geomspace(1e-10, 171.6, 45)]
+                         + [171.62, 171.7, 180.0, 250.0])
+def test_lower_incomplete_gamma_past_708_is_gamma(a):
+    for z in (708.5, 709.0, 710.0, 725.0, 1000.0, 1e4, 1e6, 1e8):
+        try:
+            expected = gamma_fn(a)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                lower_incomplete_gamma(a, z)
+            continue
+        assert lower_incomplete_gamma(a, z).hex() == expected.hex()
+    if a < 1e-4:  # the ascending sum overflows while e^-z is still normal
+        for z in (703.0, 705.0, 708.0):
+            assert lower_incomplete_gamma(a, z).hex() == gamma_fn(a).hex()
 
 
 # Gamma and the complete beta against mpmath at 40 digits.  The beta bound is
