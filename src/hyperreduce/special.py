@@ -145,8 +145,8 @@ def complete_beta(a: float, b: float) -> float:
     return gamma_ratio((a, b), (a + b,))
 
 
-# A continued fraction stops when a step changes it by less than this
-# relative amount, or gives up after this many steps.
+# The incomplete beta's continued fraction stops when a step changes it by
+# less than this relative amount, or gives up after this many steps.
 _FRACTION_TOL = math.ulp(1.0)
 _FRACTION_MAX_STEPS = 1_000
 _LENTZ_TINY = 1e-300
